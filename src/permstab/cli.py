@@ -171,8 +171,7 @@ def cmd_defect(args) -> int:
         res = global_defect(kind, obj, args.nmax, root=args.root,
                             tree=_parse_tree(args.tree),
                             hom_guard=args.guard_hom,
-                            align_guard=args.guard_align,
-                            edit_guard=args.guard_edit)
+                            align_guard=args.guard_align)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 2
@@ -187,7 +186,7 @@ def cmd_defect(args) -> int:
 def cmd_test(args) -> int:
     kind, obj, weights = _defect_object(args)
     out = run_sampled(kind, obj, args.trials, args.seed, linf=args.linf,
-                      workers=args.workers, weights=weights)
+                      weights=weights)
     _emit({"kind": kind, "trials": out.trials, "rejections": out.rejections,
            "empirical_rate": out.empirical_rate, "exact_rate": out.exact_rate,
            "seed": out.seed, "generator": out.generator}, args.format)
@@ -293,7 +292,7 @@ def cmd_profile(args) -> int:
 
 
 def _equiv_checks(a: Cochain1, nmax: int | None, root: int,
-                  hom_guard: int, align_guard: int, edit_guard: int):
+                  hom_guard: int, align_guard: int):
     x = a.space
     if not isinstance(x, PolygonalComplex):
         raise ValueError("equiv needs a cochain over a polygonal complex")
@@ -328,7 +327,7 @@ def _equiv_checks(a: Cochain1, nmax: int | None, root: int,
     checks.append(("hom global bound dominates the cocycle bound",
                    gh.upper_bound >= gc.upper_bound))
     gcov = global_defect("cover", (cover, x), nmax, root=root, hom_guard=hom_guard,
-                         align_guard=align_guard, edit_guard=edit_guard)
+                         align_guard=align_guard)
     gc0 = global_defect("cocycle", a, nmax, root=root, hom_guard=hom_guard,
                         align_guard=align_guard)
     checks.append(("cover and cocycle global bounds equal within cap",
@@ -340,7 +339,7 @@ def cmd_equiv(args) -> int:
     _, a = fileio.load_object(args.input)
     try:
         checks = _equiv_checks(a, args.nmax, args.root, args.guard_hom,
-                               args.guard_align, args.guard_edit)
+                               args.guard_align)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 2
@@ -421,7 +420,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="fail with exit 2 instead of returning flagged bounds")
     p.add_argument("--guard-hom", type=int, default=10 ** 8)
     p.add_argument("--guard-align", type=int, default=10 ** 6)
-    p.add_argument("--guard-edit", type=int, default=10 ** 6)
     p.add_argument("--guard-enum", type=int, default=10 ** 6)
 
 
@@ -450,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--linf", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_test)
 

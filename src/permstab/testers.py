@@ -1,22 +1,24 @@
 """The randomized testers: exact rejection probabilities and Monte Carlo runs.
 
-Exact local defects are always computed by full enumeration; sampling exists
-to model the testers as stated and for profiling.  Sampled runs are driven by
-a counter-based generator (numpy Philox) with per-chunk derived seeds, so a
-run is bit-identical for any worker count.
+Every tester is a table of rejecting (constraint, orientation, point) cells
+plus a distribution over constraints.  Exact local defects are the mu-weighted
+rejecting share of those tables, computed by full enumeration; sampling draws
+cells from the same tables and exists to model the testers as stated and for
+profiling.  Sampled runs are driven by a counter-based generator (numpy
+Philox) with per-chunk derived seeds, so a run is a pure function of
+(seed, trials).
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .cochains import Cochain1, cochain_norm, path_value
+from .cochains import Cochain1, _mu2, _require_polygons, cochain_norm, path_value
 from .complexes import (PolygonalComplex, Presentation, WeightingSystem,
                         uniform_distribution)
 from .graphs import Covering, origin, terminus
@@ -63,36 +65,31 @@ def _check_mu(mu: Sequence[Fraction] | None, size: int, what: str) -> tuple[Frac
 
 
 # ---------------------------------------------------------------------------
-# exact local defects
+# rejection tables: one boolean array of shape (orientations, points) per
+# constraint, True where the tester rejects
 
 
-def hom_local_defect(p: Presentation, images: Sequence[Permutation],
-                     mu: Sequence[Fraction] | None = None) -> DefectReport:
-    """Expected distance of relator images from the identity.
+def _moved(value: Permutation) -> np.ndarray:
+    return np.array(value.images) != np.arange(1, value.degree + 1)
 
-    This is the exact rejection probability of sampling a relator (uniformly
-    or by mu) and a point, and accepting when the relator image fixes it.
-    """
+
+def _orientations(x: PolygonalComplex, every_orientation: bool) -> list[list[tuple[int, ...]]]:
+    """Per polygon class, the canonical orientation or all of them (sorted)."""
+    if every_orientation:
+        return [sorted(pc.orientations) for pc in x.polygons]
+    return [[pc.canonical] for pc in x.polygons]
+
+
+def _hom_tables(p: Presentation, images: Sequence[Permutation]) -> list[np.ndarray]:
     if len(images) != p.generator_count:
         raise ValueError("need one image per generator")
-    if not p.relators:
-        warnings.warn("presentation has no relators; defect is trivially 0", stacklevel=2)
-        return DefectReport("hom", Fraction(0), mu is not None, "uniform" if mu is None else "mu_R")
-    mu_r = _check_mu(mu, len(p.relators), "mu_R")
-    n = images[0].degree
-    total = Fraction(0)
-    for weight, r in zip(mu_r, p.relators):
-        if weight == 0:
-            continue
-        val = evaluate_word(r, images)
-        total += weight * Fraction(n - val.fixed_points(), n)
-    return DefectReport("hom", total, mu is not None, "uniform" if mu is None else "mu_R")
+    return [_moved(evaluate_word(r, images))[None, :] for r in p.relators]
 
 
-def cocycle_local_defect(a: Cochain1, weights: WeightingSystem | None = None) -> DefectReport:
-    """Tester-facing name for the coboundary norm of a 1-cochain."""
-    return DefectReport("cocycle", cochain_norm(a, weights), weights is not None,
-                        "uniform" if weights is None else "mu2")
+def _cocycle_tables(a: Cochain1, every_orientation: bool) -> list[np.ndarray]:
+    x = _require_polygons(a.space)
+    return [np.array([_moved(path_value(a, o)) for o in orients])
+            for orients in _orientations(x, every_orientation)]
 
 
 def _lift_tables(c: Covering) -> dict[int, dict[int, int]]:
@@ -117,11 +114,73 @@ def lift_path(c: Covering, path: Sequence[int], start: int,
     return v
 
 
-def _cover_checks(c: Covering, x: PolygonalComplex) -> None:
+def _cover_tables(c: Covering, x: PolygonalComplex,
+                  every_orientation: bool) -> list[np.ndarray]:
+    """Open polygon lifts, one row per orientation and one column per fiber point."""
     if c.base != x.skeleton:
         raise ValueError("covering does not cover the skeleton of the complex")
     if not x.polygons:
         raise ValueError("complex has no polygons")
+    lift = _lift_tables(c)
+    return [np.array([[lift_path(c, o, start, lift) != start
+                       for start in c.fiber_labels[origin(x.skeleton, o[0]) - 1]]
+                      for o in orients])
+            for orients in _orientations(x, every_orientation)]
+
+
+def _any_point(tables: list[np.ndarray]) -> list[np.ndarray]:
+    """Discrete metric: a constraint rejects when any of its points does."""
+    return [t.any(axis=1, keepdims=True) for t in tables]
+
+
+def _matrix_tables(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[np.ndarray]:
+    m = [[int(x) for x in row] for row in rows]
+    if any(len(row) != len(v) for row in m):
+        raise ValueError(f"rows must have length {len(v)}")
+    matrix_to_presentation(m)  # validates shape and 0/1 entries
+    vec = [int(x) for x in v]
+    if any(x not in (0, 1) for x in vec):
+        raise ValueError("vector entries must be 0 or 1")
+    return [np.array([[sum(r * x for r, x in zip(row, vec)) % 2 == 1]]) for row in m]
+
+
+def _rate(mu: Sequence[Fraction], tables: list[np.ndarray]) -> Fraction:
+    """Exact rejection probability: sum of mu_c * (rejecting cells / cells)."""
+    return sum((w * Fraction(int(t.sum()), t.size) for w, t in zip(mu, tables)),
+               Fraction(0))
+
+
+def _linf_exact(tables: list[np.ndarray]) -> Fraction:
+    rate = Fraction(1)
+    for t in tables:
+        rate *= 1 - Fraction(int(t.sum()), t.size)
+    return 1 - rate
+
+
+# ---------------------------------------------------------------------------
+# exact local defects
+
+
+def hom_local_defect(p: Presentation, images: Sequence[Permutation],
+                     mu: Sequence[Fraction] | None = None) -> DefectReport:
+    """Expected distance of relator images from the identity.
+
+    This is the exact rejection probability of sampling a relator (uniformly
+    or by mu) and a point, and accepting when the relator image fixes it.
+    """
+    tables = _hom_tables(p, images)
+    if not tables:
+        warnings.warn("presentation has no relators; defect is trivially 0", stacklevel=2)
+        return DefectReport("hom", Fraction(0), mu is not None, "uniform" if mu is None else "mu_R")
+    mu_r = _check_mu(mu, len(tables), "mu_R")
+    return DefectReport("hom", _rate(mu_r, tables), mu is not None,
+                        "uniform" if mu is None else "mu_R")
+
+
+def cocycle_local_defect(a: Cochain1, weights: WeightingSystem | None = None) -> DefectReport:
+    """Tester-facing name for the coboundary norm of a 1-cochain."""
+    return DefectReport("cocycle", cochain_norm(a, weights), weights is not None,
+                        "uniform" if weights is None else "mu2")
 
 
 def cover_local_defect(c: Covering, x: PolygonalComplex,
@@ -131,36 +190,16 @@ def cover_local_defect(c: Covering, x: PolygonalComplex,
     Enumerates every polygon class and fiber point; the open count per class
     is the same for every orientation, so one representative suffices.
     """
-    _cover_checks(c, x)
-    from .cochains import _mu2
-
-    mu2 = _mu2(x, weights)
-    tables = _lift_tables(c)
-    total = Fraction(0)
-    for weight, pc in zip(mu2, x.polygons):
-        if weight == 0:
-            continue
-        x0 = origin(x.skeleton, pc.canonical[0])
-        open_count = 0
-        for start in c.fiber_labels[x0 - 1]:
-            if lift_path(c, pc.canonical, start, tables) != start:
-                open_count += 1
-        total += weight * Fraction(open_count, c.degree)
-    return DefectReport("cover", total, weights is not None,
+    tables = _cover_tables(c, x, every_orientation=False)
+    return DefectReport("cover", _rate(_mu2(x, weights), tables), weights is not None,
                         "uniform" if weights is None else "mu2")
 
 
 def dm_cover_local_defect(c: Covering, x: PolygonalComplex) -> DefectReport:
     """Discrete-metric variant: fraction of polygon classes with any open lift."""
-    _cover_checks(c, x)
-    tables = _lift_tables(c)
-    bad = 0
-    for pc in x.polygons:
-        x0 = origin(x.skeleton, pc.canonical[0])
-        if any(lift_path(c, pc.canonical, start, tables) != start
-               for start in c.fiber_labels[x0 - 1]):
-            bad += 1
-    return DefectReport("cover_dm", Fraction(bad, len(x.polygons)), False, "uniform")
+    tables = _any_point(_cover_tables(c, x, every_orientation=False))
+    return DefectReport("cover_dm", _rate(uniform_distribution(len(tables)), tables),
+                        False, "uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -198,112 +237,54 @@ def matrix_tester(rows: Sequence[Sequence[int]], v: Sequence[int],
                   mu: Sequence[Fraction] | None = None) -> DefectReport:
     """Exact rejection probability of the parity-check tester on the vector v.
 
-    Also evaluates the induced presentation over Sym(2) with the same row
-    distribution and insists the two rejection probabilities agree.
+    Equals the hom local defect of ``matrix_to_presentation(rows)`` at
+    ``vector_to_images(v)`` under the same row distribution.
     """
-    m = [[int(x) for x in row] for row in rows]
-    if any(len(row) != len(v) for row in m):
-        raise ValueError(f"rows must have length {len(v)}")
-    p = matrix_to_presentation(m)
-    mu_rows = _check_mu(mu, len(m), "mu")
-    vec = [int(x) for x in v]
-    value = sum((w for w, row in zip(mu_rows, m)
-                 if sum(r * x for r, x in zip(row, vec)) % 2), Fraction(0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hom = hom_local_defect(p, vector_to_images(vec), mu)
-    if hom.value != value:
-        raise RuntimeError(
-            f"matrix tester disagrees with the induced presentation: {value} != {hom.value}")
-    return DefectReport("matrix", value, mu is not None, "uniform" if mu is None else "mu")
+    tables = _matrix_tables(rows, v)
+    mu_rows = _check_mu(mu, len(tables), "mu")
+    return DefectReport("matrix", _rate(mu_rows, tables), mu is not None,
+                        "uniform" if mu is None else "mu")
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
 
-def _orientation_lists(x: PolygonalComplex) -> list[list[tuple[int, ...]]]:
-    return [sorted(pc.orientations) for pc in x.polygons]
-
-
-def _reject_tables(kind: str, obj, weights) -> tuple[np.ndarray, list[np.ndarray], Fraction]:
-    """Per-constraint rejection tables of shape (orientations, points),
-    constraint probabilities, and the exact rejection rate.
+def _reject_tables(kind: str, obj, weights) -> tuple[tuple[Fraction, ...], list[np.ndarray]]:
+    """Constraint distribution and every-orientation rejection tables of a tester.
 
     ``weights`` is a WeightingSystem for cocycle/cover kinds and a plain
     distribution over relators/rows for hom/matrix.
     """
     if kind == "hom":
         p, images = obj
-        n = images[0].degree
-        mu = np.array([float(w) for w in _check_mu(weights, len(p.relators), "mu_R")])
-        tables = []
-        for r in p.relators:
-            val = evaluate_word(r, images)
-            tables.append(np.array([[val(i) != i for i in range(1, n + 1)]]))
-        exact = hom_local_defect(p, images, weights).value
-        return mu, tables, exact
+        return _check_mu(weights, len(p.relators), "mu_R"), _hom_tables(p, images)
     if kind == "cocycle":
-        a = obj
-        x = a.space
-        mu = np.array([float(w) for w in
-                       (weights.mu2 if weights is not None else uniform_distribution(len(x.polygons)))])
-        tables = []
-        for orients in _orientation_lists(x):
-            per_orient = []
-            for o in orients:
-                val = path_value(a, o)
-                per_orient.append([val(i) != i for i in range(1, a.degree + 1)])
-            tables.append(np.array(per_orient))
-        exact = cocycle_local_defect(a, weights).value
-        return mu, tables, exact
+        tables = _cocycle_tables(obj, every_orientation=True)
+        return _mu2(obj.space, weights), tables
     if kind in ("cover", "cover_dm"):
         c, x = obj
-        lift = _lift_tables(c)
-        mu = np.array([float(w) for w in
-                       (weights.mu2 if weights is not None and kind == "cover"
-                        else uniform_distribution(len(x.polygons)))])
-        tables = []
-        for orients in _orientation_lists(x):
-            per_orient = []
-            for o in orients:
-                x0 = origin(x.skeleton, o[0])
-                fiber = c.fiber_labels[x0 - 1]
-                per_orient.append([lift_path(c, o, start, lift) != start for start in fiber])
-            tables.append(np.array(per_orient))
+        tables = _cover_tables(c, x, every_orientation=True)
         if kind == "cover":
-            exact = cover_local_defect(c, x, weights).value
-        else:
-            tables = [t.any(axis=1, keepdims=True) for t in tables]
-            exact = dm_cover_local_defect(c, x).value
-        return mu, tables, exact
+            return _mu2(x, weights), tables
+        return uniform_distribution(len(tables)), _any_point(tables)
     if kind == "matrix":
         rows, v = obj
-        vec = [int(x) for x in v]
-        mu = np.array([float(w) for w in _check_mu(weights, len(rows), "mu")])
-        tables = [np.array([[bool(sum(r * x for r, x in zip(row, vec)) % 2)]]) for row in rows]
-        exact = matrix_tester(rows, v, weights).value
-        return mu, tables, exact
+        tables = _matrix_tables(rows, v)
+        return _check_mu(weights, len(tables), "mu"), tables
     raise ValueError(f"unknown tester kind {kind!r}")
 
 
-def _linf_exact(mu: np.ndarray, tables: list) -> Fraction:
-    rate = Fraction(1)
-    for t in tables:
-        flat = t.reshape(-1)
-        rate *= 1 - Fraction(int(flat.sum()), flat.size)
-    return 1 - rate
-
-
 def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
-                workers: int = 1, weights=None) -> TestOutcome:
+                weights=None) -> TestOutcome:
     """Seeded Monte Carlo run of a tester.
 
     Each 4096-trial chunk draws from Philox keyed by SeedSequence(seed,
-    spawn_key=(chunk,)); chunk results are summed in order, so the outcome is
-    a pure function of (seed, trials) no matter how many workers execute the
-    chunks.  With ``linf`` every constraint is sampled once per trial and a
-    single open check rejects; the exact rate is then 1 - prod(1 - p_c).
+    spawn_key=(chunk,)) and chunk results are summed in order, so the outcome
+    is a pure function of (seed, trials).  ``exact_rate`` is the exact
+    rejection probability read from the same tables the trials sample.  With
+    ``linf`` every constraint is sampled once per trial and a single open
+    check rejects; the exact rate is then 1 - prod(1 - p_c).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -311,9 +292,10 @@ def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
         raise ValueError(f"no L-infinity variant for kind {kind!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mu, tables, exact = _reject_tables(kind, obj, weights)
-    exact_rate = _linf_exact(mu, tables) if linf else exact
+        mu_exact, tables = _reject_tables(kind, obj, weights)
+    exact_rate = _linf_exact(tables) if linf else _rate(mu_exact, tables)
     n_constraints = len(tables)
+    mu = np.array([float(w) for w in mu_exact])
     mu = mu / mu.sum()
     orient_counts = np.array([t.shape[0] for t in tables])
     point_counts = np.array([t.shape[1] for t in tables])
@@ -336,12 +318,7 @@ def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
         rej = flat[offsets[cons] + o * point_counts[cons] + i]
         return int(rej.sum())
 
-    chunks = [(idx, min(_CHUNK, trials - idx * _CHUNK))
-              for idx in range((trials + _CHUNK - 1) // _CHUNK)]
-    if workers <= 1:
-        rejections = sum(run_chunk(idx, size) for idx, size in chunks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rejections = sum(pool.map(lambda c: run_chunk(*c), chunks))
+    rejections = sum(run_chunk(idx, min(_CHUNK, trials - idx * _CHUNK))
+                     for idx in range((trials + _CHUNK - 1) // _CHUNK))
     return TestOutcome(trials, rejections, Fraction(rejections, trials),
                        seed, GENERATOR_ID, exact_rate)

@@ -131,7 +131,7 @@ def test_defect_global_and_test_subcommands(tmp_path, capsys):
     assert "rejections = 500" in out
     code, out2, _ = run(capsys, "test", "--kind", "hom",
                         "--input", str(tmp_path / "hom.json"),
-                        "--trials", "500", "--seed", "3", "--workers", "4")
+                        "--trials", "500", "--seed", "3")
     assert out == out2
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permstab import instances
+from permstab import instances, stability
 from permstab.cochains import (Cochain0, Cochain1, coboundary0,
                                cochain_distance, cochain_norm,
                                cochain_to_covering, images_to_cochain,
@@ -12,7 +12,7 @@ from permstab.cochains import (Cochain0, Cochain1, coboundary0,
 from permstab.complexes import (Presentation, fundamental_presentation,
                                 presentation_complex)
 from permstab.errors import GuardExceeded
-from permstab.graphs import Graph
+from permstab.graphs import Graph, edit_distance
 from permstab.perm import (Permutation, all_permutations, compose,
                            hamming_distance_with_errors)
 from permstab.stability import (cheeger, distance_to_constants,
@@ -120,6 +120,9 @@ def test_global_defect_cover_matches_cocycle():
             rv = global_defect("cover", (cov, x), a.degree + 1)
             assert rv.upper_bound == rc.upper_bound
             assert rv.exactness == "exact-within-cap"
+            ed = edit_distance(cov.labeled, rv.witness.labeled,
+                               leaf_guard=stability.DEFAULT_EDIT_GUARD)
+            assert ed.value == rv.upper_bound
 
 
 def test_global_defect_heuristic_flag_on_guard():
@@ -264,7 +267,7 @@ def test_h0_vanishing_matches_connectivity():
     assert h0_vanishing_check(instances.complete_graph(5)).vanishes
     rep = h0_vanishing_check(Graph(4, ((1, 2), (3, 4))))
     assert not rep.vanishes and rep.component_count == 2
-    assert rep.witness is not None
+    assert all(p.is_identity() for p in coboundary0(rep.witness).values)
 
 
 def test_h1_vanishing_examples():
@@ -283,6 +286,21 @@ def test_h1_vanishing_examples():
 
 def test_h1_vanishing_complete_complexes():
     assert all(r.vanishes for r in h1_vanishing_check(instances.complete_complex(4), 3))
+
+
+def test_h1_verdicts_match_coboundary_propagation():
+    # H1 vanishes at degree N exactly when every cocycle is a coboundary, and
+    # every cocycle is a relabeling of some tree-trivial candidate
+    for name, x in instances.corpus_complexes().items():
+        fp = fundamental_presentation(x, 1)
+        for rep in h1_vanishing_check(x, 3):
+            homs = enumerate_homomorphisms(fp.presentation, rep.degree)
+            candidates = [stability._tree_trivial_cochain(x, fp, f, rep.degree) for f in homs]
+            assert rep.vanishes == all(is_coboundary(c)[0] for c in candidates), name
+            assert rep.homomorphism_count == len(homs)
+            assert rep.vanishes == (rep.witness is None)
+            if rep.witness is not None:
+                assert not is_coboundary(rep.witness)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from permstab import instances
-from permstab.cochains import cochain_to_covering, images_to_cochain
-from permstab.complexes import Presentation, polygon_weights
-from permstab.perm import Permutation
+from permstab.cochains import cochain_norm, cochain_to_covering, images_to_cochain
+from permstab.complexes import (Presentation, fundamental_presentation,
+                                polygon_weights)
+from permstab.perm import Permutation, random_permutation
 from permstab.testers import (cocycle_local_defect, cover_local_defect,
                               dm_cover_local_defect, hom_local_defect,
                               matrix_tester, matrix_to_presentation,
@@ -105,11 +107,34 @@ def test_matrix_tester_blr_instance():
     assert matrix_tester(rows, [1, 1, 1, 1]).value == 1
 
 
+@st.composite
+def _matrix_cases(draw):
+    height, width = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    bits = st.integers(0, 1)
+    rows = draw(st.lists(st.lists(bits, min_size=width, max_size=width),
+                         min_size=height, max_size=height))
+    v = draw(st.lists(bits, min_size=width, max_size=width))
+    raw = draw(st.lists(st.integers(0, 4), min_size=height, max_size=height).filter(any))
+    mu = draw(st.sampled_from([None, [Fraction(w, sum(raw)) for w in raw]]))
+    return rows, v, mu
+
+
+@pytest.mark.filterwarnings("ignore:mu")
+@given(_matrix_cases())
+def test_matrix_tester_equals_induced_presentation(case):
+    rows, v, mu = case
+    p = matrix_to_presentation(rows)
+    assert matrix_tester(rows, v, mu).value == \
+        hom_local_defect(p, vector_to_images(v), mu).value
+
+
 def test_matrix_tester_validates():
     with pytest.raises(ValueError):
         matrix_tester([[1, 2]], [1, 1])
     with pytest.raises(ValueError):
         matrix_tester([[1, 1]], [1])
+    with pytest.raises(ValueError):
+        matrix_tester([[1, 1]], [1, 2])
     with pytest.warns(UserWarning):
         matrix_tester([[1, 1], [1, 0]], [1, 1], mu=[Fraction(1), Fraction(0)])
 
@@ -125,15 +150,54 @@ def test_run_sampled_degenerate_rates():
     assert out1.exact_rate == 1
 
 
-def test_run_sampled_reproducible_across_workers():
+def test_run_sampled_reproducible_for_seed():
     x = instances.complete_complex(4)
     rng = np.random.default_rng(9)
     a = instances.random_cochain1(x, 3, rng)
-    o1 = run_sampled("cocycle", a, 20000, seed=12345, workers=1)
-    o8 = run_sampled("cocycle", a, 20000, seed=12345, workers=8)
-    assert json.dumps(asdict(o1), default=str) == json.dumps(asdict(o8), default=str)
-    again = run_sampled("cocycle", a, 20000, seed=12345, workers=1)
-    assert again.rejections == o1.rejections
+    o1 = run_sampled("cocycle", a, 20000, seed=12345)
+    again = run_sampled("cocycle", a, 20000, seed=12345)
+    assert json.dumps(asdict(o1), default=str) == json.dumps(asdict(again), default=str)
+
+
+def _rational_distribution(size, rng):
+    weights = [Fraction(int(rng.integers(0, 4))) for _ in range(size)]
+    weights[int(rng.integers(size))] += 1
+    return tuple(w / sum(weights) for w in weights)
+
+
+@pytest.mark.filterwarnings("ignore:mu")
+def test_sampled_exact_rate_equals_exact_defects():
+    # run_sampled reads every orientation of each polygon class while the
+    # exact defects read only the canonical one; equality pins the
+    # orientation invariance that one reduction relies on
+    rng = np.random.default_rng(31)
+    for x in instances.corpus_complexes().values():
+        p = fundamental_presentation(x, 1).presentation
+        for n in (2, 3):
+            a = instances.random_cochain1(x, n, rng)
+            c = cochain_to_covering(a)
+            images = tuple(random_permutation(n, rng) for _ in range(p.generator_count))
+            ws = polygon_weights(x, _rational_distribution(len(x.polygons), rng))
+            mu_r = _rational_distribution(len(p.relators), rng)
+            assert cocycle_local_defect(a).value == cochain_norm(a)
+            assert cocycle_local_defect(a, ws).value == cochain_norm(a, ws)
+            cases = [("cocycle", a, None, cochain_norm(a)),
+                     ("cocycle", a, ws, cochain_norm(a, ws)),
+                     ("cover", (c, x), None, cover_local_defect(c, x).value),
+                     ("cover", (c, x), ws, cover_local_defect(c, x, ws).value),
+                     ("cover_dm", (c, x), None, dm_cover_local_defect(c, x).value),
+                     ("hom", (p, images), None, hom_local_defect(p, images).value),
+                     ("hom", (p, images), mu_r, hom_local_defect(p, images, mu_r).value)]
+            for kind, obj, weights, exact in cases:
+                out = run_sampled(kind, obj, 1, seed=n, weights=weights)
+                assert out.exact_rate == exact, (kind, weights is not None)
+    for _ in range(20):
+        height, width = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        rows = rng.integers(0, 2, size=(height, width)).tolist()
+        v = rng.integers(0, 2, size=width).tolist()
+        for mu in (None, _rational_distribution(height, rng)):
+            out = run_sampled("matrix", (rows, v), 1, seed=0, weights=mu)
+            assert out.exact_rate == matrix_tester(rows, v, mu).value
 
 
 def test_run_sampled_concentrates():
