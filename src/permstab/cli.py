@@ -4,8 +4,9 @@ Subcommands: validate, defect, test, convert, cheeger, spectral, h1check,
 weights, profile, equiv, generate.  All randomness flows from --seed
 (default 1729); identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 validation or check failure, 2 a search guard was
-exceeded and --no-heuristic forbade the fallback.
+Exit codes: 0 success, 1 validation or check failure, 2 a search guard
+refused the work (a guard with no fallback, as in h1check or cheeger) or
+tripped while --no-heuristic forbade the fallback.
 """
 
 from __future__ import annotations
@@ -167,14 +168,9 @@ def cmd_defect(args) -> int:
         return 0
     if kind in ("cover_dm", "matrix"):
         raise ValueError(f"no global defect for kind {kind!r}")
-    try:
-        res = global_defect(kind, obj, args.nmax, root=args.root,
-                            tree=_parse_tree(args.tree),
-                            hom_guard=args.guard_hom,
-                            align_guard=args.guard_align)
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        return 2
+    res = global_defect(kind, obj, args.nmax, root=args.root,
+                        tree=_parse_tree(args.tree), hom_guard=args.guard_hom,
+                        align_guard=args.guard_align)
     if res.exactness == "heuristic" and args.no_heuristic:
         print("guard exceeded and --no-heuristic given", file=sys.stderr)
         return 2
@@ -224,13 +220,9 @@ def cmd_convert(args) -> int:
 
 def cmd_cheeger(args) -> int:
     _, obj = fileio.load_object(args.input)
-    try:
-        rep = cheeger(obj, args.dimension, args.variant, args.coeff_cap,
-                      enum_guard=args.guard_enum, hom_guard=args.guard_hom,
-                      align_guard=args.guard_align)
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        return 2
+    rep = cheeger(obj, args.dimension, args.variant, args.coeff_cap,
+                  enum_guard=args.guard_enum, hom_guard=args.guard_hom,
+                  align_guard=args.guard_align)
     _emit({"dimension": rep.dimension, "variant": rep.variant,
            "coeff_cap": rep.coeff_cap, "value": rep.value}, args.format)
     return 0
@@ -337,12 +329,7 @@ def _equiv_checks(a: Cochain1, nmax: int | None, root: int,
 
 def cmd_equiv(args) -> int:
     _, a = fileio.load_object(args.input)
-    try:
-        checks = _equiv_checks(a, args.nmax, args.root, args.guard_hom,
-                               args.guard_align)
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        return 2
+    checks = _equiv_checks(a, args.nmax, args.root, args.guard_hom, args.guard_align)
     failed = 0
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")

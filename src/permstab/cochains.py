@@ -19,7 +19,8 @@ from .complexes import PolygonalComplex, WeightingSystem, uniform_distribution
 from .errors import GuardExceeded
 from .graphs import (CombinatorialMap, Covering, Graph, LabeledGraph, origin,
                      terminus, tree_paths_to_root)
-from .perm import Permutation, compose, hamming_distance_with_errors
+from .perm import (Permutation, _trusted, compose, evaluate_word,
+                   hamming_distance_with_errors)
 
 
 def skeleton_of(space: PolygonalComplex | Graph) -> Graph:
@@ -93,11 +94,13 @@ def coboundary0(b: Cochain0) -> Cochain1:
 
 
 def path_value(a: Cochain1, path: Sequence[int]) -> Permutation:
-    """Ordered product of edge values along a path; empty path gives identity."""
-    acc = Permutation.identity(a.degree)
-    for s in path:
-        acc = compose(acc, a.on_edge(s))
-    return acc
+    """Ordered product of edge values along a path; empty path gives identity.
+
+    The path is a signed word over edge ids, so this is ``evaluate_word`` on
+    the edge values; the empty path is answered here because a graph without
+    edges has no value to fix the degree.
+    """
+    return evaluate_word(path, a.values) if path else Permutation.identity(a.degree)
 
 
 def coboundary1(a: Cochain1, path: Sequence[int]) -> Permutation:
@@ -169,13 +172,6 @@ def cochain_distance(a: Cochain1, b: Cochain1,
     mu1 = _mu1(g, weights)
     return sum((w * hamming_distance_with_errors(p, q)
                 for w, p, q in zip(mu1, a.values, b.values)), Fraction(0))
-
-
-def cochain0_distance(a: Cochain0, b: Cochain0) -> Fraction:
-    if skeleton_of(a.space) != skeleton_of(b.space):
-        raise ValueError("cochains live on different complexes")
-    vals = [hamming_distance_with_errors(p, q) for p, q in zip(a.values, b.values)]
-    return Fraction(sum(vals), len(vals))
 
 
 def coboundary_distance(a: Cochain1, b: Cochain1,
@@ -365,7 +361,7 @@ class OrbitDistanceResult:
 def _extend_injection(mapped: Sequence[int], big: int) -> Permutation:
     used = set(mapped)
     rest = iter(v for v in range(1, big + 1) if v not in used)
-    return Permutation(list(mapped) + [next(rest) for _ in range(big - len(mapped))])
+    return _trusted(tuple(mapped) + tuple(next(rest) for _ in range(big - len(mapped))))
 
 
 def orbit_distance(alpha: Cochain1, candidate: Cochain1,

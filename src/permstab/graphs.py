@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import GuardExceeded
+from .perm import cyclic_reduce, free_reduce
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,6 @@ def vertex_stars(g: Graph) -> tuple[tuple[int, ...], ...]:
         stars[v - 1].append(k)
         stars[u - 1].append(-k)
     return tuple(tuple(sorted(st, key=lambda s: (abs(s), s > 0))) for st in stars)
-
-
-def vertex_degrees(g: Graph) -> tuple[int, ...]:
-    return tuple(len(st) for st in vertex_stars(g))
 
 
 @dataclass(frozen=True)
@@ -133,25 +130,12 @@ def reduce_path(g: Graph, path: Sequence[int], cyclic: bool = False) -> tuple[in
     p = check_path(g, path)
     if cyclic and not path_is_closed(g, p):
         raise ValueError("cyclic reduction requires a closed path")
-    stack: list[int] = []
-    for s in p:
-        if stack and stack[-1] == -s:
-            stack.pop()
-        else:
-            stack.append(s)
-    if cyclic:
-        while len(stack) >= 2 and stack[0] == -stack[-1]:
-            stack = stack[1:-1]
-    return tuple(stack)
+    return cyclic_reduce(p) if cyclic else free_reduce(p)
 
 
 def is_cyclically_reduced(g: Graph, path: Sequence[int]) -> bool:
     p = check_path(g, path)
-    if not path_is_closed(g, p):
-        return False
-    if any(a == -b for a, b in zip(p, p[1:])):
-        return False
-    return not (len(p) >= 2 and p[0] == -p[-1])
+    return path_is_closed(g, p) and cyclic_reduce(p) == p
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +161,6 @@ class CombinatorialMap:
     def map_edge(self, s: int) -> int:
         img = self.edge_map[abs(s) - 1]
         return img if s > 0 else -img
-
-    def map_path(self, path: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.map_edge(s) for s in path)
 
 
 def validate_map(f: CombinatorialMap) -> ValidationReport:
@@ -235,13 +216,6 @@ class Covering:
     @property
     def base(self) -> Graph:
         return self.labeled.base
-
-    def sheet_of(self, cover_vertex: int) -> int:
-        x = self.labeled.labeling.map_vertex(cover_vertex)
-        return self.fiber_labels[x - 1].index(cover_vertex) + 1
-
-    def vertex_at(self, base_vertex: int, sheet: int) -> int:
-        return self.fiber_labels[base_vertex - 1][sheet - 1]
 
 
 def check_covering(f: CombinatorialMap, n: int) -> Covering:

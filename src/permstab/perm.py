@@ -6,6 +6,12 @@ on the smaller domain and normalized by the larger degree, so every missing
 point of the smaller permutation counts as a disagreement.  All distances are
 exact rationals; floating point only enters through the Hilbert-Schmidt
 cross-check.
+
+``Permutation(...)`` validates its input: outside data (user code, files)
+becomes a permutation only through that check.  Library results (products,
+inverses, identities, enumerations, random draws) are bijections by
+construction and are trusted: they are wrapped by ``_trusted`` without
+re-checking.
 """
 
 from __future__ import annotations
@@ -38,11 +44,11 @@ class Permutation:
             raise ValueError("degree must be at least 1")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"images {imgs!r} are not a bijection of 1..{len(imgs)}")
-        self.images = imgs
+        _trusted(imgs, self)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return _trusted(tuple(range(1, _check_degree(n) + 1)))
 
     @property
     def degree(self) -> int:
@@ -58,7 +64,7 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return _trusted(tuple(inv))
 
     def fixed_points(self) -> int:
         return sum(1 for i, j in enumerate(self.images, start=1) if i == j)
@@ -99,12 +105,28 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
+def _trusted(images: tuple[int, ...], into: Permutation | None = None) -> Permutation:
+    """The one place that sets ``images``: wrap a known bijection of 1..n unchecked.
+
+    Fills ``into`` (the validating constructor passes itself) or a new object.
+    """
+    p = object.__new__(Permutation) if into is None else into
+    p.images = images
+    return p
+
+
+def _check_degree(n: int) -> int:
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    return n
+
+
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """(a o b)(i) = a(b(i)): the right factor acts first."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} != {b.degree}")
     ai = a.images
-    return Permutation(ai[j - 1] for j in b.images)
+    return _trusted(tuple([ai[j - 1] for j in b.images]))
 
 
 def evaluate_word(word: Sequence[int], images: Sequence[Permutation]) -> Permutation:
@@ -117,18 +139,13 @@ def evaluate_word(word: Sequence[int], images: Sequence[Permutation]) -> Permuta
     if not images:
         raise ValueError("need at least one generator image to fix the degree")
     n = images[0].degree
-    for p in images[1:]:
-        if p.degree != n:
-            raise ValueError("generator images must share one degree")
-    acc = Permutation.identity(n)
-    for letter in word:
-        if letter == 0 or abs(letter) > len(images):
-            raise ValueError(f"letter {letter} outside alphabet 1..{len(images)}")
-        factor = images[abs(letter) - 1]
-        if letter < 0:
-            factor = factor.inverse()
-        acc = compose(acc, factor)
-    return acc
+    if any(p.degree != n for p in images):
+        raise ValueError("generator images must share one degree")
+    acc = tuple(range(1, n + 1))
+    for letter in check_word(word, len(images)):
+        factor = images[letter - 1] if letter > 0 else images[-letter - 1].inverse()
+        acc = tuple([acc[j - 1] for j in factor.images])
+    return _trusted(acc)
 
 
 def hamming_distance_with_errors(a: Permutation, b: Permutation) -> Fraction:
@@ -166,12 +183,12 @@ def hs_distance_check(a: Permutation, b: Permutation) -> tuple[Fraction, float]:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of Sym(n) in lexicographic order of image tuples (identity first)."""
-    for imgs in itertools.permutations(range(1, n + 1)):
-        yield Permutation(imgs)
+    for imgs in itertools.permutations(range(1, _check_degree(n) + 1)):
+        yield _trusted(imgs)
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
-    return Permutation(int(v) + 1 for v in rng.permutation(n))
+    return _trusted(tuple(int(v) + 1 for v in rng.permutation(_check_degree(n))))
 
 
 # ---------------------------------------------------------------------------

@@ -293,14 +293,14 @@ def poincare_inequality_check(g: Graph, values: np.ndarray) -> tuple[float, floa
 # distance to locally constant 0-cochains
 
 
-def _component_agreements(values: Sequence[Permutation], degree_n: int, big: int) -> int:
-    """Max total agreements of the values with one constant sigma in Sym(big).
+def _component_agreements(values: Sequence[Permutation], n: int) -> int:
+    """Max total agreements of the degree-n values with one constant sigma in Sym(n).
 
-    Maximizing sum_x |{i <= n : values[x](i) = sigma(i)}| over sigma is an
+    Maximizing sum_x |{i : values[x](i) = sigma(i)}| over sigma is an
     assignment problem on the (point, image) count matrix; integer costs keep
     it exact.
     """
-    cost = np.zeros((big, big), dtype=np.int64)
+    cost = np.zeros((n, n), dtype=np.int64)
     for p in values:
         for i, j in enumerate(p.images, start=1):
             cost[i - 1, j - 1] += 1
@@ -308,27 +308,19 @@ def _component_agreements(values: Sequence[Permutation], degree_n: int, big: int
     return int(cost[rows, cols].sum())
 
 
-def distance_to_constants(b: Cochain0, per_component: bool,
-                          degree_slack: int = 2) -> Fraction:
+def distance_to_constants(b: Cochain0, per_component: bool) -> Fraction:
     """Distance to constant (or locally constant) 0-cochains of degree >= n.
 
     The agreement optimum is independent of the target degree while the
-    normalization grows with it, so the minimum always lands at degree n; the
-    small degree sweep keeps that reduction observable.
+    normalization grows with it, so the minimum always lands at degree n.
     """
     g = skeleton_of(b.space)
     n = b.degree
     groups = [sorted(comp) for comp in components(g)] if per_component \
         else [list(range(1, g.vertex_count + 1))]
-    best: Fraction | None = None
-    for big in range(n, n + degree_slack + 1):
-        agree = sum(_component_agreements([b.on_vertex(v) for v in grp], n, big)
-                    for grp in groups)
-        d = Fraction(g.vertex_count * big - agree, g.vertex_count * big)
-        if best is None or d < best:
-            best = d
-    assert best is not None
-    return best
+    agree = sum(_component_agreements([b.on_vertex(v) for v in grp], n)
+                for grp in groups)
+    return Fraction(g.vertex_count * n - agree, g.vertex_count * n)
 
 
 @dataclass(frozen=True)
@@ -338,8 +330,7 @@ class ZeroDimBoundReport:
     holds: bool
 
 
-def zero_dim_bound_check(g: Graph, b: Cochain0,
-                         degree_slack: int = 2) -> ZeroDimBoundReport:
+def zero_dim_bound_check(g: Graph, b: Cochain0) -> ZeroDimBoundReport:
     """Check d(b, locally-constant) <= ||delta b|| / gamma on a regular graph.
 
     The left side is exact (cocycles of a connected graph are the constants);
@@ -348,7 +339,7 @@ def zero_dim_bound_check(g: Graph, b: Cochain0,
     if skeleton_of(b.space) != g:
         raise ValueError("cochain does not live on the given graph")
     report = spectral_gap(g)
-    lhs = distance_to_constants(b, per_component=False, degree_slack=degree_slack)
+    lhs = distance_to_constants(b, per_component=False)
     rhs = float(edge_norm(coboundary0(b))) / report.gamma
     return ZeroDimBoundReport(lhs, rhs, float(lhs) <= rhs + 1e-9)
 
@@ -397,7 +388,7 @@ def _one_cochains(space, degree: int) -> Iterable[Cochain1]:
 
 def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
             variant: str = "cocycle", coeff_cap: int = 2, *,
-            degree_slack: int = 2, enum_guard: int = DEFAULT_ENUM_GUARD,
+            enum_guard: int = DEFAULT_ENUM_GUARD,
             hom_guard: int = DEFAULT_HOM_GUARD,
             align_guard: int = DEFAULT_ALIGNMENT_GUARD) -> CheegerReport:
     """Expansion constants as minima of ||delta a|| over distance to (co)cycles.
@@ -405,7 +396,8 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
     ``classical`` is the exact edge-expansion minimum over vertex subsets.
     The dimension 0/1 variants enumerate all cochains with coefficients
     Sym(2)..Sym(coeff_cap); with a finite coefficient cap the result is an
-    upper bound on the infimum over all permutation coefficients.
+    upper bound on the infimum over all permutation coefficients.  Dimension-1
+    distances search target degrees up to degree + 2, global_defect's default.
     """
     if variant == "classical":
         return _classical_cheeger(skeleton_of(space))
@@ -430,11 +422,9 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
                 if variant == "cocycle":
                     if num == 0:
                         continue
-                    den = distance_to_constants(a, per_component=True,
-                                                degree_slack=degree_slack)
+                    den = distance_to_constants(a, per_component=True)
                 else:
-                    den = distance_to_constants(a, per_component=False,
-                                                degree_slack=degree_slack)
+                    den = distance_to_constants(a, per_component=False)
                     if den == 0:
                         continue  # a is a coboundary
                 ratio = num / den
@@ -446,13 +436,11 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
                 if variant == "cocycle":
                     if num == 0:
                         continue
-                    den, _, _ = _cocycle_distance(a, degree + degree_slack,
-                                                  hom_guard, align_guard)
+                    den, _, _ = _cocycle_distance(a, degree + 2, hom_guard, align_guard)
                 else:
                     if is_coboundary(a)[0]:
                         continue
-                    den, _, _ = distance_to_coboundaries(a, degree + degree_slack,
-                                                         align_guard)
+                    den, _, _ = distance_to_coboundaries(a, degree + 2, align_guard)
                 ratio = num / den
                 if best is None or ratio < best:
                     best, best_witness = ratio, a

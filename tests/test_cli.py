@@ -4,7 +4,7 @@ import pytest
 
 from permstab import fileio, instances
 from permstab.cli import main
-from permstab.cochains import images_to_cochain
+from permstab.cochains import cochain_to_covering, images_to_cochain
 from permstab.perm import Permutation
 
 
@@ -237,3 +237,30 @@ def test_equiv_on_random_family(tmp_path, capsys):
     assert code == 0 and "FAIL" not in out
     meta = json.loads((tmp_path / "random-meta.json").read_text())
     assert "exact_defect" in meta
+
+
+def test_guard_without_fallback_exits_2(tmp_path, capsys):
+    fileio.save_json(fileio.complex_to_dict(instances.torus_complex()),
+                     tmp_path / "t.json")
+    code, _, err = run(capsys, "h1check", "--input", str(tmp_path / "t.json"),
+                       "--guard-hom", "10")
+    assert code == 2
+    assert err.startswith("guard exceeded:")
+
+
+def test_covering_with_shared_lift_terminus_is_rejected(tmp_path, capsys):
+    x = instances.bouquet_a3()
+    cover = cochain_to_covering(images_to_cochain([Permutation([2, 1])], x))
+    d = fileio.covering_to_dict(cover)
+    # both lifts of the loop now end at cover vertex 1
+    d["edges"] = [dict(rec, to=1) for rec in d["edges"]]
+    fileio.save_json(d, tmp_path / "cov.json")
+    fileio.save_json(fileio.complex_to_dict(x), tmp_path / "x.json")
+    for argv in (("convert", "--to", "cochain", "--input", str(tmp_path / "cov.json"),
+                  "--output", str(tmp_path / "a.json")),
+                 ("defect", "global", "--kind", "cover",
+                  "--input", str(tmp_path / "cov.json"),
+                  "--complex", str(tmp_path / "x.json"))):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")

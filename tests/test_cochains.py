@@ -14,7 +14,7 @@ from permstab.cochains import (Cochain0, Cochain1, act0on1, coboundary0,
                                is_coboundary, is_cocycle, orbit_distance,
                                path_value, tree_normalize)
 from permstab.errors import GuardExceeded
-from permstab.graphs import check_covering, spanning_tree
+from permstab.graphs import Graph, check_covering, spanning_tree
 from permstab.perm import Permutation, all_permutations, compose
 
 ID2 = Permutation.identity(2)
@@ -143,6 +143,13 @@ def test_tree_normalize_examples():
     a = images_to_cochain([SWAP], x)
     out3, beta3 = tree_normalize(a, frozenset(), 1)
     assert out3.values == a.values
+
+
+def test_tree_normalize_on_edgeless_graph():
+    alpha = Cochain1(Graph(1, ()), 3, ())
+    out, beta = tree_normalize(alpha, frozenset(), 1)
+    assert out.values == ()
+    assert beta.values == (Permutation.identity(3),)
 
 
 def test_tree_normalize_orbit_membership():

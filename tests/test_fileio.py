@@ -80,6 +80,14 @@ def test_cochain_missing_value_rejected():
         fileio.cochain_from_dict(d)
 
 
+def test_cochain_non_bijective_value_rejected():
+    x = instances.bouquet_a3()
+    d = {"complex": fileio.complex_to_dict(x), "n": 2, "dimension": 1,
+         "values": {"1": [1, 1]}}
+    with pytest.raises(ValueError, match="not a bijection"):
+        fileio.cochain_from_dict(d)
+
+
 def test_covering_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     x = instances.triangle_complex()
