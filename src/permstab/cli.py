@@ -26,8 +26,7 @@ from .complexes import (PolygonalComplex, Presentation,
                         fundamental_presentation, polygon_weights,
                         presentation_complex, validate_complex)
 from .errors import GuardExceeded
-from .graphs import (Graph, ValidationReport, check_covering, validate_graph,
-                     validate_map)
+from .graphs import Graph, validate_graph, validate_map
 from .perm import Permutation
 from .stability import (cheeger, global_defect, h1_vanishing_check,
                         spectral_gap, stability_profile)
@@ -127,16 +126,6 @@ def cmd_validate(args) -> int:
         rep = validate_complex(obj)
     elif kind == "labeled_graph":
         rep = validate_map(obj.labeling)
-    elif kind == "covering":
-        try:
-            rebuilt = check_covering(obj.labeled.labeling, obj.degree)
-            ok = all(sorted(a) == sorted(b)
-                     for a, b in zip(rebuilt.fiber_labels, obj.fiber_labels))
-            rep = ValidationReport(ok, None if ok else
-                                   "fiber labels are not a labeling of the fibers")
-        except ValueError as exc:
-            print(f"invalid {kind}: {exc}")
-            return 1
     else:
         rep = validate_graph(skeleton_of(obj.space)) if isinstance(obj, Cochain1) \
             else validate_graph(obj) if isinstance(obj, Graph) else None

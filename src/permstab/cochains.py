@@ -9,6 +9,7 @@ only occur as coboundaries of 1-cochains and are evaluated per polygon.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -372,7 +373,7 @@ def orbit_distance(alpha: Cochain1, candidate: Cochain1,
     restrictions of beta to the smaller degree, so the search ranges over one
     injection per vertex and is evaluated as a dense tensor maximization.
     Requires candidate.degree >= alpha.degree; refuses searches with more
-    than ``guard`` injection tuples.
+    than ``guard`` injection tuples before building any of them.
     """
     g = skeleton_of(alpha.space)
     if skeleton_of(candidate.space) != g:
@@ -380,12 +381,12 @@ def orbit_distance(alpha: Cochain1, candidate: Cochain1,
     n, big = alpha.degree, candidate.degree
     if big < n:
         raise ValueError("candidate degree must be at least the input degree")
-    injections = list(itertools.permutations(range(1, big + 1), n))
-    p_count = len(injections)
+    p_count = math.perm(big, n)
     if p_count ** g.vertex_count > guard:
         raise GuardExceeded(
             f"orbit search needs {p_count}^{g.vertex_count} alignment tuples "
             f"(guard {guard})")
+    injections = list(itertools.permutations(range(1, big + 1), n))
     inj = np.array(injections, dtype=np.int64)  # (P, n), 1-based values
     total = np.zeros((p_count,) * g.vertex_count, dtype=np.int64)
     for k, (x, y) in enumerate(g.edges, start=1):

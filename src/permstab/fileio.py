@@ -15,7 +15,8 @@ from typing import Any
 from .cochains import Cochain0, Cochain1, skeleton_of
 from .complexes import (PolygonalComplex, Presentation, polygon_orbit,
                         polygon_weights)
-from .graphs import CombinatorialMap, Covering, Graph, LabeledGraph
+from .graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
+                     check_covering)
 from .perm import Permutation
 
 
@@ -76,10 +77,20 @@ def covering_to_dict(c: Covering) -> dict[str, Any]:
 
 
 def covering_from_dict(d: dict[str, Any]) -> Covering:
+    """Load a covering, checking the star bijections, fiber sizes and labels.
+
+    Raises ValueError naming the offending vertex: the map must pass
+    ``check_covering`` and each stored fiber must list exactly its fiber.
+    """
     lg = labeled_graph_from_dict(d)
+    degree = int(d["degree"])
+    canonical = check_covering(lg.labeling, degree).fiber_labels
     fibers = tuple(tuple(d["fiber_labels"][str(x)])
                    for x in range(1, lg.base.vertex_count + 1))
-    return Covering(lg, int(d["degree"]), fibers)
+    for x, (stored, fib) in enumerate(zip(fibers, canonical), start=1):
+        if sorted(stored) != list(fib):
+            raise ValueError(f"fiber labels over vertex {x} are not a labeling of its fiber")
+    return Covering(lg, degree, fibers)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .complexes import (FundamentalPresentation, PolygonalComplex,
                         Presentation, fundamental_presentation)
 from .errors import GuardExceeded
 from .graphs import Graph, components, is_connected, vertex_stars
-from .perm import (Permutation, all_permutations, evaluate_word,
+from .perm import (Permutation, all_permutations,
                    hamming_distance_with_errors, random_permutation)
 from .testers import GENERATOR_ID, hom_local_defect
 
@@ -49,29 +49,53 @@ def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> tuple[tup
             f"homomorphism search space {math.factorial(degree)}^{p.generator_count} "
             f"exceeds guard {guard}")
     sym = list(all_permutations(degree))
-    # a relator can be checked once every generator it mentions is assigned
-    max_letter = [max((abs(s) for s in r), default=0) for r in p.relators]
-    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(p.generator_count + 1)]
-    for r, lvl in zip(p.relators, max_letter):
-        by_level[lvl].append(r)
-    found: list[tuple[Permutation, ...]] = []
-    partial: list[Permutation] = []
-
-    def ok_at(level: int) -> bool:
-        return all(evaluate_word(r, partial).is_identity() for r in by_level[level])
-
-    def back(level: int) -> None:
-        if level == p.generator_count:
-            found.append(tuple(partial))
-            return
-        for g in sym:
-            partial.append(g)
-            if ok_at(level + 1):
-                back(level + 1)
-            partial.pop()
-
     if p.generator_count == 0:
         return ((),)  # only empty relators can exist, and they hold vacuously
+    # Sym(degree) as 0-based image rows in the order of sym, and their inverses
+    images = np.array([q.images for q in sym], dtype=np.intp) - 1
+    inverses = np.argsort(images, axis=1)
+    ident = np.arange(degree)
+    # a relator can be checked once every generator it mentions is assigned
+    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(p.generator_count + 1)]
+    for r in p.relators:
+        by_level[max((abs(s) for s in r), default=0)].append(r)
+    found: list[tuple[Permutation, ...]] = []
+    chosen: list[int] = []  # rows of the generators assigned so far
+
+    def survivors(level: int) -> list[int]:
+        """Rows for generator ``level`` that kill every relator closing there.
+
+        Each relator is folded once for all rows: assigned generators are
+        single rows, the new generator is the whole array.
+        """
+        keep = np.ones(len(sym), dtype=bool)
+        for r in by_level[level]:
+            acc = None
+            for letter in r:
+                table = images if letter > 0 else inverses
+                factor = table if abs(letter) == level else table[chosen[abs(letter) - 1]]
+                if acc is None:
+                    acc = factor
+                elif acc.ndim == 1:
+                    acc = acc[factor]
+                elif factor.ndim == 1:
+                    acc = acc[:, factor]
+                else:
+                    acc = np.take_along_axis(acc, factor, axis=1)
+            keep &= (acc == ident).all(axis=1)  # acc is 2-D: r mentions level
+        return np.flatnonzero(keep).tolist()
+
+    def back(level: int) -> None:
+        rows = survivors(level + 1)
+        if level + 1 == p.generator_count:
+            prefix = tuple(sym[i] for i in chosen)
+            found.extend(prefix + (sym[j],) for j in rows)
+            return
+        for j in rows:
+            chosen.append(j)
+            back(level + 1)
+            chosen.pop()
+
     back(0)
     return tuple(found)
 
@@ -80,9 +104,11 @@ def enumerate_homomorphisms(p: Presentation, degree: int,
                             guard: int = DEFAULT_HOM_GUARD) -> list[tuple[Permutation, ...]]:
     """All generator assignments into Sym(degree) killing every relator.
 
-    Backtracking in lexicographic order of image tuples, pruning a branch as
-    soon as some relator with all letters assigned fails.  Refuses when the
-    raw search space |Sym(degree)|^generators exceeds the guard.
+    Backtracking in lexicographic order of image tuples.  A relator is checked
+    at the level of its highest generator, for every choice of that generator
+    in one batched numpy fold over the (degree!, degree) image array, and the
+    search recurses over the surviving choices in ascending order.  Refuses
+    when the raw search space |Sym(degree)|^generators exceeds the guard.
     """
     return list(_homomorphisms_cached(p, degree, guard))
 
@@ -118,6 +144,35 @@ def _tree_trivial_cochain(x: PolygonalComplex, fp: FundamentalPresentation,
     return Cochain1(x, degree, vals)
 
 
+def _conjugates(a: Cochain1) -> set[tuple[tuple[int, ...], ...]]:
+    """Value image tuples of every constant relabeling g^-1 a g of a cochain.
+
+    Breadth-first search under conjugation by the generators (1 2) and
+    (1 2 ... n) of Sym(n), so the cost is linear in the class size rather
+    than in |Sym(n)|.
+    """
+    n = a.degree
+    start = tuple(q.images for q in a.values)
+    if n < 2:
+        return {start}
+    # (s^-1 c s)(i) = s^-1(c(s(i))), 1-based, for s = (1 2) and s = (1 2 ... n)
+    swap = [2, 1] + list(range(3, n + 1))
+    cycle = list(range(2, n + 1)) + [1]
+    maps = [(swap, [0] + swap), (cycle, [0, n] + list(range(1, n)))]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for vals in frontier:
+            for s, s_inv in maps:
+                conj = tuple(tuple([s_inv[c[j - 1]] for j in s]) for c in vals)
+                if conj not in seen:
+                    seen.add(conj)
+                    nxt.append(conj)
+        frontier = nxt
+    return seen
+
+
 def _distance_to_candidates(alpha: Cochain1, candidates_per_degree, n_max: int,
                             align_guard: int) -> tuple[Fraction | None, Cochain1 | None, bool]:
     """Minimize d(alpha, beta.candidate) over degrees, candidates, relabelings.
@@ -126,6 +181,13 @@ def _distance_to_candidates(alpha: Cochain1, candidates_per_degree, n_max: int,
     degree N (raising GuardExceeded when it cannot enumerate).  The relabeling
     minimum is exact via orbit_distance; when its guard trips we fall back to
     the identity alignment and flag the result heuristic.
+
+    A conjugate g^-1 cand g is cand acted on by the constant 0-cochain g, so
+    it has the same orbit and the same orbit distance.  Once a candidate is
+    measured exactly its whole conjugacy class is skipped: a later conjugate
+    could only tie, and ties keep the first minimum, so bound, label and
+    witness are unchanged.  A candidate that fell back to the identity
+    alignment covers nothing, because that distance is not orbit-invariant.
     """
     best: Fraction | None = None
     best_witness: Cochain1 | None = None
@@ -136,13 +198,18 @@ def _distance_to_candidates(alpha: Cochain1, candidates_per_degree, n_max: int,
         except GuardExceeded:
             exact = False
             continue
+        covered: set[tuple[tuple[int, ...], ...]] = set()
         for cand in candidates:
+            if tuple(q.images for q in cand.values) in covered:
+                continue
             try:
                 res = orbit_distance(alpha, cand, guard=align_guard)
-                d, wit = res.value, res.witness
             except GuardExceeded:
                 exact = False
                 d, wit = cochain_distance(alpha, cand), cand
+            else:
+                d, wit = res.value, res.witness
+                covered |= _conjugates(cand)
             if best is None or d < best:
                 best, best_witness = d, wit
                 if best == 0:
@@ -160,8 +227,11 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
       distance over every homomorphism of every degree in [n, n_max].
     * ``cocycle``: obj = Cochain1 on a complex; candidate cocycles are the
       tree-trivial extensions of homomorphisms of the spanning-tree
-      presentation, and the distance to each is minimized over all 0-cochain
-      relabelings, which sweeps the entire cocycle set of each degree.
+      presentation (enumerated with relators checked in one batch per
+      backtracking level), and the distance to each is minimized over all
+      0-cochain relabelings, which sweeps the entire cocycle set of each
+      degree.  Conjugate homomorphisms give candidates in one relabeling
+      orbit, so only the first candidate of each conjugacy class is aligned.
     * ``cover``:  obj = (Covering, PolygonalComplex); runs the cocycle search
       on the encoding cochain and returns the witness as a covering.  The
       bound is the edit distance to that covering (checked in the tests).

@@ -4,7 +4,8 @@ import pytest
 
 from permstab import fileio, instances
 from permstab.cli import main
-from permstab.cochains import cochain_to_covering, images_to_cochain
+from permstab.cochains import (cochain_to_covering, identity_cochain1,
+                               images_to_cochain)
 from permstab.perm import Permutation
 
 
@@ -256,11 +257,24 @@ def test_covering_with_shared_lift_terminus_is_rejected(tmp_path, capsys):
     d["edges"] = [dict(rec, to=1) for rec in d["edges"]]
     fileio.save_json(d, tmp_path / "cov.json")
     fileio.save_json(fileio.complex_to_dict(x), tmp_path / "x.json")
-    for argv in (("convert", "--to", "cochain", "--input", str(tmp_path / "cov.json"),
-                  "--output", str(tmp_path / "a.json")),
-                 ("defect", "global", "--kind", "cover",
-                  "--input", str(tmp_path / "cov.json"),
-                  "--complex", str(tmp_path / "x.json"))):
+    cov, cx = ("--input", str(tmp_path / "cov.json")), ("--complex", str(tmp_path / "x.json"))
+    for argv in (("convert", "--to", "cochain", *cov, "--output", str(tmp_path / "a.json")),
+                 ("defect", "global", "--kind", "cover", *cov, *cx),
+                 ("defect", "local", "--kind", "cover", *cov, *cx),
+                 ("defect", "local", "--kind", "cover-dm", *cov, *cx),
+                 ("test", "--kind", "cover", *cov, *cx, "--trials", "100")):
         code, _, err = run(capsys, *argv)
-        assert code == 1
-        assert err.startswith("error:")
+        assert code == 1, argv
+        assert err.startswith("error:") and "at vertex 1" in err, (argv, err)
+    code, out, _ = run(capsys, "validate", *cov)
+    assert code == 1 and "at vertex 1" in out
+
+
+def test_covering_with_misplaced_fiber_labels_is_rejected(tmp_path, capsys):
+    cover = cochain_to_covering(identity_cochain1(instances.triangle_complex(), 2))
+    d = fileio.covering_to_dict(cover)
+    # base vertex 1's labels now name the fiber over base vertex 2
+    d["fiber_labels"]["1"] = d["fiber_labels"]["2"]
+    fileio.save_json(d, tmp_path / "cov.json")
+    code, out, _ = run(capsys, "validate", "--input", str(tmp_path / "cov.json"))
+    assert code == 1 and "over vertex 1" in out

@@ -1,18 +1,19 @@
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from permstab import instances
+from permstab import cochains, instances
 from permstab.cochains import (Cochain0, Cochain1, act0on1, coboundary0,
                                coboundary1, coboundary_distance,
                                cochain_distance, cochain_norm,
                                cochain_to_covering, cochain_to_images,
                                covering_to_cochain, edge_norm,
-                               identity_cochain0, images_to_cochain,
-                               is_coboundary, is_cocycle, orbit_distance,
-                               path_value, tree_normalize)
+                               identity_cochain0, identity_cochain1,
+                               images_to_cochain, is_coboundary, is_cocycle,
+                               orbit_distance, path_value, tree_normalize)
 from permstab.errors import GuardExceeded
 from permstab.graphs import Graph, check_covering, spanning_tree
 from permstab.perm import Permutation, all_permutations, compose
@@ -254,6 +255,19 @@ def test_orbit_distance_guard():
     b = instances.random_cochain1(x, 4, rng)
     with pytest.raises(GuardExceeded):
         orbit_distance(a, b, guard=100)
+
+
+def test_orbit_distance_guard_trips_before_building_injections(monkeypatch):
+    # 2000*1999*1998 ~ 8e9 injections: the guard must refuse without listing them
+    x = instances.torus_complex()
+    a = instances.random_cochain1(x, 3, np.random.default_rng(30))
+
+    def no_listing(*args):
+        raise AssertionError("injections listed before the guard check")
+
+    monkeypatch.setattr(cochains, "itertools", SimpleNamespace(permutations=no_listing))
+    with pytest.raises(GuardExceeded):
+        orbit_distance(a, identity_cochain1(x, 2000))
 
 
 def test_coboundary_distance_orientation_average():

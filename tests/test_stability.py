@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permstab import instances, stability
 from permstab.cochains import (Cochain0, Cochain1, coboundary0,
                                cochain_distance, cochain_norm,
                                cochain_to_covering, images_to_cochain,
-                               is_coboundary)
+                               is_coboundary, orbit_distance)
 from permstab.complexes import (Presentation, fundamental_presentation,
                                 presentation_complex)
 from permstab.errors import GuardExceeded
 from permstab.graphs import Graph, edit_distance
 from permstab.perm import (Permutation, all_permutations, compose,
-                           hamming_distance_with_errors)
+                           evaluate_word, hamming_distance_with_errors)
 from permstab.stability import (cheeger, distance_to_constants,
                                 enumerate_homomorphisms, global_defect,
                                 h0_vanishing_check, h1_vanishing_check,
@@ -62,6 +63,39 @@ def test_enumerated_maps_are_homomorphisms():
     torus = Presentation(2, ((1, 2, -1, -2),))
     for h in enumerate_homomorphisms(torus, 4):
         assert hom_local_defect(torus, h).value == 0
+
+
+@st.composite
+def presentations(draw):
+    gens = draw(st.integers(0, 3))
+    relators = []
+    for _ in range(draw(st.integers(0, 3))):
+        top = draw(st.integers(0, gens))  # relators may use only low letters
+        letters = [s for k in range(1, top + 1) for s in (k, -k)]
+        relators.append(tuple(draw(st.lists(st.sampled_from(letters), max_size=6)))
+                        if letters else ())
+    return Presentation(gens, tuple(relators)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+def test_enumerate_homomorphisms_equals_brute_force(case):
+    p, degree = case
+    reference = [h for h in itertools.product(all_permutations(degree),
+                                              repeat=p.generator_count)
+                 if all(not r or evaluate_word(r, h).is_identity() for r in p.relators)]
+    assert enumerate_homomorphisms(p, degree) == reference
+
+
+def test_conjugates_are_the_conjugacy_class():
+    torus = instances.torus_complex()
+    fp = fundamental_presentation(torus, 1)
+    for degree in (1, 2, 3, 4):
+        for h in enumerate_homomorphisms(fp.presentation, degree)[::7]:
+            cand = stability._tree_trivial_cochain(torus, fp, h, degree)
+            brute = {tuple(compose(compose(g.inverse(), q), g).images for q in cand.values)
+                     for g in all_permutations(degree)}
+            assert stability._conjugates(cand) == brute
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +167,42 @@ def test_global_defect_heuristic_flag_on_guard():
     assert res.exactness == "heuristic"
     exact = global_defect("cocycle", a, 3)
     assert res.upper_bound >= exact.upper_bound
+
+
+def _align_every_candidate(alpha, cap, align_guard):
+    """global_defect("cocycle") without skipping conjugate candidates."""
+    x = alpha.space
+    fp = fundamental_presentation(x, 1)
+    best = witness = None
+    exact = True
+    for degree in range(alpha.degree, cap + 1):
+        for h in enumerate_homomorphisms(fp.presentation, degree):
+            cand = stability._tree_trivial_cochain(x, fp, h, degree)
+            try:
+                res = orbit_distance(alpha, cand, guard=align_guard)
+                d, wit = res.value, res.witness
+            except GuardExceeded:
+                exact = False
+                d, wit = cochain_distance(alpha, cand), cand
+            if best is None or d < best:
+                best, witness = d, wit
+    return best, "exact-within-cap" if exact else "heuristic", witness
+
+
+def test_global_defect_equals_aligning_every_candidate():
+    rng = np.random.default_rng(29)
+    cases = [(x, n, guard) for x in (instances.torus_complex(), instances.bouquet_a3())
+             for n in (2, 3) for guard in (stability.DEFAULT_ALIGNMENT_GUARD,)]
+    cases += [(instances.torus_complex(), n, 1) for n in (2, 3)]  # identity alignment
+    for x, n, guard in cases:
+        for _ in range(3):
+            a = instances.random_cochain1(x, n, rng)
+            bound, label, witness = _align_every_candidate(a, n + 2, guard)
+            rc = global_defect("cocycle", a, n + 2, align_guard=guard)
+            assert (rc.upper_bound, rc.exactness, rc.witness) == (bound, label, witness)
+            rv = global_defect("cover", (cochain_to_covering(a), x), n + 2, align_guard=guard)
+            assert (rv.upper_bound, rv.exactness) == (bound, label)
+            assert rv.witness == cochain_to_covering(witness)
 
 
 def test_global_defect_witness_consistency():
