@@ -26,7 +26,7 @@ from .complexes import (PolygonalComplex, Presentation,
                         fundamental_presentation, polygon_weights,
                         presentation_complex, validate_complex)
 from .errors import GuardExceeded
-from .graphs import Graph, validate_graph, validate_map
+from .graphs import Covering, Graph, validate_graph, validate_map
 from .perm import Permutation
 from .stability import (cheeger, global_defect, h1_vanishing_check,
                         spectral_gap, stability_profile)
@@ -101,6 +101,8 @@ def _defect_object(args) -> tuple[str, object, object]:
         if args.complex is None:
             raise ValueError("cover defects need --complex")
         _, x = fileio.load_object(args.complex)
+        if not isinstance(c, Covering) or not isinstance(x, PolygonalComplex):
+            raise ValueError("cover defects need a covering file and a complex file")
         return kind, (c, x), _load_weights(args.weights, x)
     if kind == "matrix":
         rows, vector, mu = fileio.matrix_from_dict(fileio.load_json(args.input))
@@ -212,8 +214,12 @@ def cmd_cheeger(args) -> int:
     rep = cheeger(obj, args.dimension, args.variant, args.coeff_cap,
                   enum_guard=args.guard_enum, hom_guard=args.guard_hom,
                   align_guard=args.guard_align)
+    if rep.exactness == "heuristic" and args.no_heuristic:
+        print("guard exceeded and --no-heuristic given", file=sys.stderr)
+        return 2
     _emit({"dimension": rep.dimension, "variant": rep.variant,
-           "coeff_cap": rep.coeff_cap, "value": rep.value}, args.format)
+           "coeff_cap": rep.coeff_cap, "value": rep.value,
+           "exactness": rep.exactness}, args.format)
     return 0
 
 

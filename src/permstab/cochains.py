@@ -3,7 +3,12 @@
 A 1-cochain stores one permutation per unoriented edge, the value on the
 stored orientation; the reversed orientation returns the inverse, so
 antisymmetry cannot be violated.  2-cochains are never materialized: they
-only occur as coboundaries of 1-cochains and are evaluated per polygon.
+only occur as coboundaries of 1-cochains.  Norms, coboundary distances and
+the testers' rejection tables evaluate polygon values in one batched fold
+over a signed value table (``_value_table``/``_fold``): one gather per word
+position for a whole batch of words, one polygon class (all of its
+orientations) or all canonical representatives at a time.  Counts are taken
+in integers and turned into exact ``Fraction``s last.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .complexes import PolygonalComplex, WeightingSystem, uniform_distribution
 from .errors import GuardExceeded
 from .graphs import (CombinatorialMap, Covering, Graph, LabeledGraph, origin,
-                     terminus, tree_paths_to_root)
+                     tree_paths_to_root)
 from .perm import (Permutation, _trusted, compose, evaluate_word,
                    hamming_distance_with_errors)
 
@@ -118,6 +123,72 @@ def is_cocycle(a: Cochain1) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the batched word kernel
+
+
+def _images(values: Sequence[Permutation], degree: int) -> np.ndarray:
+    """0-based images of permutations of one degree, shape (len(values), n)."""
+    if any(p.degree != degree for p in values):
+        raise ValueError("values must share one degree")
+    flat = np.fromiter(itertools.chain.from_iterable(p.images for p in values),
+                       np.intp, len(values) * degree)
+    return flat.reshape(len(values), degree) - 1
+
+
+def _value_table(images: np.ndarray) -> np.ndarray:
+    """Signed value table of shape (2m+1, n) from 0-based (m, n) images.
+
+    Row 0 is the identity (it pads short words), row k holds the value of
+    letter +k and row 2m+1-k that of -k, its inverse; so letter s reads row
+    s mod 2m+1.
+    """
+    m, n = images.shape
+    table = np.empty((2 * m + 1, n), dtype=np.intp)
+    points = np.arange(n)
+    table[0] = points
+    table[1:m + 1] = images
+    table[np.arange(2 * m, m, -1)[:, None], images] = points
+    return table
+
+
+def _word_rows(words: Sequence[Sequence[int]], m: int) -> np.ndarray:
+    """Table rows of a batch of signed words over m letters, padded with row 0."""
+    lengths = [len(w) for w in words]
+    width = max(1, max(lengths))
+    letters = np.array([tuple(w) + (0,) * (width - len(w)) for w in words], dtype=np.intp)
+    if np.count_nonzero(letters) != sum(lengths) or np.abs(letters).max() > m:
+        raise ValueError(f"word letter outside alphabet 1..{m}")
+    return letters % (2 * m + 1)
+
+
+def _fold(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Values of a batch of words given as table rows: shape (len(rows), n), 0-based.
+
+    The product convention of ``evaluate_word`` (the last letter acts first):
+    starting from the last letter's row, each earlier letter is applied to the
+    whole batch as one gather from the flattened table.
+    """
+    n = table.shape[1]
+    flat, offsets = table.ravel(), rows * n
+    acc = table[rows[:, -1]]
+    for k in range(rows.shape[1] - 2, -1, -1):
+        acc = flat[offsets[:, k:k + 1] + acc]
+    return acc
+
+
+def _polygon_tables(x: PolygonalComplex, table: np.ndarray,
+                    every_orientation: bool) -> list[np.ndarray]:
+    """Moved points of the polygon values: per class, one row per orientation
+    (the canonical one, or all of them sorted) and one column per point."""
+    m, points = table.shape[0] // 2, np.arange(table.shape[1])
+    if not every_orientation:
+        rows = _word_rows([pc.canonical for pc in x.polygons], m)
+        return list((_fold(table, rows) != points)[:, None, :])
+    return [_fold(table, _word_rows(sorted(pc.orientations), m)) != points
+            for pc in x.polygons]
+
+
+# ---------------------------------------------------------------------------
 # norms and distances
 
 
@@ -145,14 +216,9 @@ def cochain_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fractio
     conjugation and inversion.
     """
     x = _require_polygons(a.space)
-    mu2 = _mu2(x, weights)
-    total = Fraction(0)
-    for weight, pc in zip(mu2, x.polygons):
-        if weight == 0:
-            continue
-        val = path_value(a, pc.canonical)
-        total += weight * Fraction(a.degree - val.fixed_points(), a.degree)
-    return total
+    tables = _polygon_tables(x, _value_table(_images(a.values, a.degree)), False)
+    return sum((w * Fraction(int(t.sum()), a.degree)
+                for w, t in zip(_mu2(x, weights), tables)), Fraction(0))
 
 
 def edge_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fraction:
@@ -181,20 +247,25 @@ def coboundary_distance(a: Cochain1, b: Cochain1,
 
     Per class this averages over all distinct orientations: unlike the norm,
     the pairwise distance of two polygon values is not orientation-invariant,
-    because the two sides conjugate by different connecting arcs.
+    because the two sides conjugate by different connecting arcs.  Mixed
+    degrees compare the first min(n, N) points over the larger degree,
+    as ``hamming_distance_with_errors`` does.
     """
     x = _require_polygons(a.space)
     if skeleton_of(b.space) != x.skeleton:
         raise ValueError("cochains live on different complexes")
     mu2 = _mu2(x, weights)
+    table_a = _value_table(_images(a.values, a.degree))
+    table_b = _value_table(_images(b.values, b.degree))
+    small, big = min(a.degree, b.degree), max(a.degree, b.degree)
     total = Fraction(0)
     for weight, pc in zip(mu2, x.polygons):
         if weight == 0:
             continue
-        orients = sorted(pc.orientations)
-        inner = sum((hamming_distance_with_errors(path_value(a, o), path_value(b, o))
-                     for o in orients), Fraction(0))
-        total += weight * inner / len(orients)
+        rows = _word_rows(sorted(pc.orientations), len(a.values))
+        agree = np.count_nonzero(_fold(table_a, rows)[:, :small]
+                                 == _fold(table_b, rows)[:, :small])
+        total += weight * Fraction(len(rows) * big - agree, len(rows) * big)
     return total
 
 
@@ -246,20 +317,62 @@ def cochain_to_covering(alpha: Cochain1) -> Covering:
     makes the round trip through covering_to_cochain exact.
     """
     g = skeleton_of(alpha.space)
-    n = alpha.degree
-    cover_edges = []
-    edge_map = []
-    for e, (x, y) in enumerate(g.edges, start=1):
-        a = alpha.values[e - 1]
-        for i in range(1, n + 1):
-            cover_edges.append(((x - 1) * n + a(i), (y - 1) * n + i))
-            edge_map.append(e)
-    cover = Graph(g.vertex_count * n, tuple(cover_edges))
-    vertex_map = tuple((v - 1) // n + 1 for v in range(1, cover.vertex_count + 1))
-    labeling = CombinatorialMap(cover, g, vertex_map, tuple(edge_map))
-    fibers = tuple(tuple((x - 1) * n + i for i in range(1, n + 1))
-                   for x in range(1, g.vertex_count + 1))
+    n, count = alpha.degree, g.vertex_count
+    cover_edges: list[tuple[int, int]] = []
+    for (x, y), a in zip(g.edges, alpha.values):
+        ox, oy = (x - 1) * n, (y - 1) * n
+        cover_edges += zip([ox + i for i in a.images], range(oy + 1, oy + n + 1))
+    cover = Graph(count * n, tuple(cover_edges))
+    labeling = CombinatorialMap(cover, g, tuple(x for x in range(1, count + 1) for _ in range(n)),
+                                tuple(e for e in range(1, len(g.edges) + 1) for _ in range(n)))
+    fibers = tuple(tuple(range((x - 1) * n + 1, x * n + 1)) for x in range(1, count + 1))
     return Covering(LabeledGraph(cover, labeling), n, fibers)
+
+
+def _covering_images(c: Covering, space: PolygonalComplex | Graph) -> np.ndarray:
+    """The edge values read off a covering, as 0-based (m, n) images.
+
+    Raises ValueError unless the covering covers the skeleton of ``space``,
+    its fibers list each covering vertex once, every covering edge carries a
+    base edge label and joins the fibers over that edge's ends, and the lifts
+    of every base edge form a bijection of the sheets.
+    """
+    base = c.base
+    if skeleton_of(space) != base:
+        raise ValueError("covering does not cover the skeleton of the given complex")
+    n, m, size = c.degree, len(base.edges), c.graph.vertex_count
+    fibers = c.fiber_labels
+    if n < 1 or size != n * base.vertex_count or len(fibers) != base.vertex_count \
+            or any(len(f) != n for f in fibers):
+        raise ValueError(f"a degree-{n} covering needs {base.vertex_count} fibers of "
+                         f"{n} covering vertices each")
+    labels = np.fromiter(itertools.chain.from_iterable(fibers), np.intp, size)
+    if (np.sort(labels) != np.arange(1, size + 1)).any():
+        raise ValueError(f"fiber labels must list each covering vertex 1..{size} once")
+    edge_map = c.labeled.labeling.edge_map
+    if len(c.graph.edges) != m * n or len(edge_map) != m * n:
+        raise ValueError(f"a degree-{n} covering needs {m * n} labeled edges")
+    # pos[v] = (x-1)n + sheet index of covering vertex v over base vertex x;
+    # ids outside 1..size read the -1 kept at both ends
+    pos = np.full(size + 2, -1)
+    pos[labels] = np.arange(size)
+    ends = np.fromiter(itertools.chain.from_iterable(c.graph.edges), np.intp, 2 * m * n)
+    ends = pos[np.minimum(np.maximum(ends, 0), size + 1)].reshape(-1, 2)
+    lbl = np.fromiter(edge_map, np.intp, m * n)
+    ends = np.where((lbl > 0)[:, None], ends, ends[:, ::-1])   # orient along +|label|
+    # 0-based (origin, terminus) of each base edge; labels outside +-1..m read
+    # row 0 or m+1, which no covering edge can match
+    e = np.minimum(np.abs(lbl), m + 1)
+    over = np.array([(-1, -1), *base.edges, (-1, -1)], dtype=np.intp) - 1
+    if (ends // n != over[e]).any():
+        raise ValueError("a covering edge does not join the fibers over the ends of its label")
+    images = np.full((m, n), -1)
+    images[e - 1, ends[:, 1] % n] = ends[:, 0] % n
+    bijective = np.sort(images, axis=1) == np.arange(n)
+    if not bijective.all():
+        raise ValueError(f"the lifts of edge {int(bijective.all(axis=1).argmin()) + 1} "
+                         "are not a bijection of the sheets")
+    return images
 
 
 def covering_to_cochain(c: Covering, space: PolygonalComplex | Graph | None = None) -> Cochain1:
@@ -267,28 +380,12 @@ def covering_to_cochain(c: Covering, space: PolygonalComplex | Graph | None = No
 
     The edge value alpha(e) sends the sheet label of the terminus of each lift
     of e to the sheet label of its origin.  Different fiber labelings give
-    cochains in one 0-cochain action orbit.
+    cochains in one 0-cochain action orbit.  Malformed coverings raise
+    ValueError (see ``_covering_images``).
     """
-    base = c.base
-    if space is None:
-        space = base
-    elif skeleton_of(space) != base:
-        raise ValueError("covering does not cover the skeleton of the given complex")
-    n = c.degree
-    sheet = {}
-    for x in range(1, base.vertex_count + 1):
-        for i, v in enumerate(c.fiber_labels[x - 1], start=1):
-            sheet[v] = i
-    cg = c.graph
-    lab = c.labeled.labeling
-    images: list[list[int]] = [[0] * n for _ in range(len(base.edges))]
-    for k in range(1, len(cg.edges) + 1):
-        lbl = lab.map_edge(k)
-        s = k if lbl > 0 else -k          # orient the cover edge along +|lbl|
-        e = abs(lbl)
-        i = sheet[terminus(cg, s)]
-        images[e - 1][i - 1] = sheet[origin(cg, s)]
-    return Cochain1(space, n, tuple(Permutation(img) for img in images))
+    space = c.base if space is None else space
+    images = (_covering_images(c, space) + 1).tolist()
+    return Cochain1(space, c.degree, tuple(_trusted(tuple(row)) for row in images))
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,14 @@ def labeled_graph_to_dict(lg: LabeledGraph) -> dict[str, Any]:
 
 
 def labeled_graph_from_dict(d: dict[str, Any]) -> LabeledGraph:
-    from .graphs import validate_map
+    from .graphs import validate_graph, validate_map
 
     g = graph_from_dict(d)
     base = graph_from_dict(d["base"])
+    for which, graph in (("graph", g), ("base graph", base)):
+        rep = validate_graph(graph)
+        if not rep.ok:
+            raise ValueError(f"invalid {which}: {rep.message}")
     labeling = CombinatorialMap(g, base, tuple(d["vertex_map"]), tuple(d["edge_map"]))
     rep = validate_map(labeling)
     if not rep.ok:
@@ -216,8 +220,14 @@ def save_json(d: dict[str, Any], path: str | Path) -> None:
 
 
 def load_object(path: str | Path):
-    """Load any supported file, dispatching on its fields."""
+    """Load any supported file, dispatching on its fields.
+
+    Malformed contents raise ValueError (or KeyError for a missing field),
+    including fields that hold the wrong JSON type.
+    """
     d = load_json(path)
+    if not isinstance(d, dict):
+        raise ValueError("file must hold a JSON object")
     kind = detect_kind(d)
     base_dir = Path(path).parent
     loaders = {
@@ -231,4 +241,7 @@ def load_object(path: str | Path):
     }
     if kind == "weights":
         raise ValueError("weight files need a complex; load them explicitly")
-    return kind, loaders[kind]()
+    try:
+        return kind, loaders[kind]()
+    except (TypeError, AttributeError) as exc:   # a field holds the wrong JSON type
+        raise ValueError(f"malformed {kind} file: {exc}") from exc

@@ -26,7 +26,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]  # edges[k-1] = (origin, terminus) of edge k
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in self.edges]))
 
 
 def origin(g: Graph, s: int) -> int:

@@ -425,6 +425,9 @@ class CheegerReport:
     coeff_cap: int
     value: Fraction
     witness: object
+    # "heuristic" when a dimension-1 denominator came from a guarded search:
+    # such a distance may be too large, which makes the ratio too small
+    exactness: str = "exact-within-cap"
 
 
 def _classical_cheeger(g: Graph) -> CheegerReport:
@@ -467,7 +470,8 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
     The dimension 0/1 variants enumerate all cochains with coefficients
     Sym(2)..Sym(coeff_cap); with a finite coefficient cap the result is an
     upper bound on the infimum over all permutation coefficients.  Dimension-1
-    distances search target degrees up to degree + 2, global_defect's default.
+    distances search target degrees up to degree + 2, global_defect's default;
+    ``exactness`` is ``heuristic`` when any of those searches tripped a guard.
     """
     if variant == "classical":
         return _classical_cheeger(skeleton_of(space))
@@ -482,6 +486,7 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
         raise ValueError("dimension-1 Cheeger constants need polygons")
     best: Fraction | None = None
     best_witness = None
+    exact = True
     for degree in range(2, coeff_cap + 1):
         cells = g.vertex_count if dimension == 0 else len(g.edges)
         if math.factorial(degree) ** cells > enum_guard:
@@ -506,17 +511,20 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
                 if variant == "cocycle":
                     if num == 0:
                         continue
-                    den, _, _ = _cocycle_distance(a, degree + 2, hom_guard, align_guard)
+                    den, _, den_exact = _cocycle_distance(a, degree + 2, hom_guard,
+                                                          align_guard)
                 else:
                     if is_coboundary(a)[0]:
                         continue
-                    den, _, _ = distance_to_coboundaries(a, degree + 2, align_guard)
+                    den, _, den_exact = distance_to_coboundaries(a, degree + 2, align_guard)
+                exact = exact and den_exact
                 ratio = num / den
                 if best is None or ratio < best:
                     best, best_witness = ratio, a
     if best is None:
         raise ValueError("no admissible cochain; the constant is an empty infimum")
-    return CheegerReport(dimension, variant, coeff_cap, best, best_witness)
+    return CheegerReport(dimension, variant, coeff_cap, best, best_witness,
+                         "exact-within-cap" if exact else "heuristic")
 
 
 def _cocycle_distance(alpha: Cochain1, cap: int, hom_guard: int,

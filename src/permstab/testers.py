@@ -18,11 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .cochains import Cochain1, _mu2, _require_polygons, cochain_norm, path_value
+from .cochains import (Cochain1, _covering_images, _fold, _images, _mu2,
+                       _polygon_tables, _require_polygons, _value_table, _word_rows,
+                       cochain_norm)
 from .complexes import (PolygonalComplex, Presentation, WeightingSystem,
                         uniform_distribution)
-from .graphs import Covering, origin, terminus
-from .perm import Permutation, evaluate_word
+from .graphs import Covering
+from .perm import Permutation
 
 GENERATOR_ID = "numpy-philox4x64/seedseq-chunk4096"
 _CHUNK = 4096
@@ -69,63 +71,34 @@ def _check_mu(mu: Sequence[Fraction] | None, size: int, what: str) -> tuple[Frac
 # constraint, True where the tester rejects
 
 
-def _moved(value: Permutation) -> np.ndarray:
-    return np.array(value.images) != np.arange(1, value.degree + 1)
-
-
-def _orientations(x: PolygonalComplex, every_orientation: bool) -> list[list[tuple[int, ...]]]:
-    """Per polygon class, the canonical orientation or all of them (sorted)."""
-    if every_orientation:
-        return [sorted(pc.orientations) for pc in x.polygons]
-    return [[pc.canonical] for pc in x.polygons]
-
-
 def _hom_tables(p: Presentation, images: Sequence[Permutation]) -> list[np.ndarray]:
     if len(images) != p.generator_count:
         raise ValueError("need one image per generator")
-    return [_moved(evaluate_word(r, images))[None, :] for r in p.relators]
+    if not p.relators:
+        return []
+    if not images:
+        raise ValueError("need at least one generator image to fix the degree")
+    n = images[0].degree
+    rows = _word_rows(p.relators, p.generator_count)
+    return list((_fold(_value_table(_images(images, n)), rows) != np.arange(n))[:, None, :])
 
 
 def _cocycle_tables(a: Cochain1, every_orientation: bool) -> list[np.ndarray]:
     x = _require_polygons(a.space)
-    return [np.array([_moved(path_value(a, o)) for o in orients])
-            for orients in _orientations(x, every_orientation)]
-
-
-def _lift_tables(c: Covering) -> dict[int, dict[int, int]]:
-    """out[v][base signed edge] = covering signed edge leaving v with that label."""
-    out: dict[int, dict[int, int]] = {v: {} for v in range(1, c.graph.vertex_count + 1)}
-    lab = c.labeled.labeling
-    for k in range(1, len(c.graph.edges) + 1):
-        lbl = lab.map_edge(k)
-        out[origin(c.graph, k)][lbl] = k
-        out[terminus(c.graph, k)][-lbl] = -k
-    return out
-
-
-def lift_path(c: Covering, path: Sequence[int], start: int,
-              tables: dict[int, dict[int, int]] | None = None) -> int:
-    """End vertex of the unique lift of a base path starting at a cover vertex."""
-    if tables is None:
-        tables = _lift_tables(c)
-    v = start
-    for s in path:
-        v = terminus(c.graph, tables[v][s])
-    return v
+    return _polygon_tables(x, _value_table(_images(a.values, a.degree)), every_orientation)
 
 
 def _cover_tables(c: Covering, x: PolygonalComplex,
                   every_orientation: bool) -> list[np.ndarray]:
-    """Open polygon lifts, one row per orientation and one column per fiber point."""
-    if c.base != x.skeleton:
-        raise ValueError("covering does not cover the skeleton of the complex")
-    if not x.polygons:
-        raise ValueError("complex has no polygons")
-    lift = _lift_tables(c)
-    return [np.array([[lift_path(c, o, start, lift) != start
-                       for start in c.fiber_labels[origin(x.skeleton, o[0]) - 1]]
-                      for o in orients])
-            for orients in _orientations(x, every_orientation)]
+    """Open polygon lifts, one row per orientation and one column per sheet.
+
+    The lift of a polygon from sheet j closes exactly when the polygon value
+    of the translated cochain ``covering_to_cochain(c, x)`` fixes j, so the
+    open lifts are the moved points of its polygon values; the tables are
+    those of ``_cocycle_tables`` on the covering's edge values.
+    """
+    images = _covering_images(c, x)
+    return _polygon_tables(_require_polygons(x), _value_table(images), every_orientation)
 
 
 def _any_point(tables: list[np.ndarray]) -> list[np.ndarray]:
@@ -187,8 +160,10 @@ def cover_local_defect(c: Covering, x: PolygonalComplex,
                        weights: WeightingSystem | None = None) -> DefectReport:
     """Probability that the lift of a random polygon at a random fiber point is open.
 
-    Enumerates every polygon class and fiber point; the open count per class
-    is the same for every orientation, so one representative suffices.
+    The open lifts are the moved points of the polygon values of the cochain
+    read off the covering (``covering_to_cochain``), so this equals that
+    cochain's coboundary norm; the open count per class is the same for
+    every orientation, so one representative suffices.
     """
     tables = _cover_tables(c, x, every_orientation=False)
     return DefectReport("cover", _rate(_mu2(x, weights), tables), weights is not None,

@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permstab import fileio, instances
 from permstab.cli import main
-from permstab.cochains import (cochain_to_covering, identity_cochain1,
+from permstab.cochains import (Cochain1, cochain_to_covering, identity_cochain1,
                                images_to_cochain)
 from permstab.perm import Permutation
 
@@ -174,6 +180,23 @@ def test_cheeger_and_h1_subcommands(tmp_path, capsys):
     assert "N=2 vanishes=False" in out
 
 
+def test_cheeger_json_carries_the_label(tmp_path, capsys):
+    fileio.save_json(fileio.complex_to_dict(instances.triangle_complex()),
+                     tmp_path / "tri.json")
+    argv = ("cheeger", "--input", str(tmp_path / "tri.json"), "--dimension", "1",
+            "--variant", "cocycle", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--guard-align", "1")
+    assert code == 0
+    assert json.loads(out) == {"coeff_cap": 2, "dimension": 1, "exactness": "heuristic",
+                               "value": "1/1", "variant": "cocycle"}
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["exactness"] == "exact-within-cap"
+    assert json.loads(out)["value"] == "3/1"
+    code, _, err = run(capsys, *argv, "--guard-align", "1", "--no-heuristic")
+    assert code == 2 and "--no-heuristic" in err
+
+
 def test_weights_subcommand(tmp_path, capsys):
     fileio.save_json(fileio.complex_to_dict(instances.bouquet_a3()), tmp_path / "b.json")
     code, out, _ = run(capsys, "weights", "--input", str(tmp_path / "b.json"))
@@ -278,3 +301,77 @@ def test_covering_with_misplaced_fiber_labels_is_rejected(tmp_path, capsys):
     fileio.save_json(d, tmp_path / "cov.json")
     code, out, _ = run(capsys, "validate", "--input", str(tmp_path / "cov.json"))
     assert code == 1 and "over vertex 1" in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzed covering files
+
+FUZZ_X = instances.triangle_complex()
+FUZZ_COVER = fileio.covering_to_dict(cochain_to_covering(
+    Cochain1(FUZZ_X, 2, (Permutation([2, 1]), Permutation([1, 2]), Permutation([2, 1])))))
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
+                 st.floats(-3, 12, allow_nan=False), st.text(max_size=3),
+                 st.lists(st.integers(-1, 3), max_size=2),
+                 st.dictionaries(st.sampled_from(["1", "id", "x"]), st.integers(0, 2),
+                                 max_size=1))
+
+
+def _nodes(d, path=()):
+    yield path
+    items = d.items() if isinstance(d, dict) else enumerate(d) if isinstance(d, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def mutated_coverings(draw):
+    """A valid covering file with edges dropped or duplicated, or any node
+    (a label, an id, a whole record or section) replaced by another value."""
+    d = copy.deepcopy(FUZZ_COVER)
+    for _ in range(draw(st.integers(1, 3))):
+        edges = d.get("edges") if isinstance(d, dict) else None
+        if isinstance(edges, list) and edges and draw(st.booleans()):
+            i = draw(st.integers(0, len(edges) - 1))
+            if draw(st.booleans()):
+                edges.pop(i)
+            else:
+                edges.append(copy.deepcopy(edges[i]))
+            continue
+        path = draw(st.sampled_from(list(_nodes(d))))
+        value = draw(JUNK)
+        if not path:
+            d = value
+            continue
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return d
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_coverings())
+def test_fuzzed_covering_files_fail_cleanly(d):
+    # every malformed covering file is refused with exit 1 and a one-line
+    # message: no exception may escape main
+    with tempfile.TemporaryDirectory() as tmp:
+        cov, cx = Path(tmp) / "cov.json", Path(tmp) / "x.json"
+        cov.write_text(json.dumps(d), encoding="utf-8")
+        fileio.save_json(fileio.complex_to_dict(FUZZ_X), cx)
+        code, out, _ = _main(["validate", "--input", str(cov)])
+        assert code in (0, 1)
+        assert out.startswith("ok:" if code == 0 else "invalid:"), out
+        dcode, _, err = _main(["defect", "local", "--kind", "cover", "--input", str(cov),
+                               "--complex", str(cx)])
+        assert dcode in (0, 1)
+        if dcode == 1:
+            assert err.startswith("error:"), err
+        if code == 1:
+            assert dcode == 1

@@ -1,0 +1,267 @@
+"""Differential tests: the batched word kernel against per-word products.
+
+``cochain_norm``, ``coboundary_distance`` and the testers' rejection tables
+evaluate polygon and relator values in one batched numpy fold.  The
+references below evaluate one word at a time with ``path_value`` /
+``evaluate_word`` and lift one point at a time through the covering graph,
+so they share no code with the fold.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from permstab import instances
+from permstab.cochains import (Cochain1, coboundary_distance, cochain_norm,
+                               cochain_to_covering, covering_to_cochain, path_value)
+from permstab.complexes import (PolygonalComplex, PolygonClass, Presentation,
+                                polygon_weights, presentation_complex)
+from permstab.graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
+                             origin, terminus)
+from permstab.perm import Permutation, evaluate_word, hamming_distance_with_errors
+from permstab.testers import (_cocycle_tables, _cover_tables, _hom_tables,
+                              cover_local_defect, run_sampled)
+
+# a bouquet whose polygons have lengths 2, 3 and 4
+MIXED = presentation_complex(Presentation(2, ((1, 1, 1), (1, 2, -1, -2), (2, 2))))
+SPACES = [*instances.corpus_complexes().values(), MIXED]
+
+
+def _lift_tables(c):
+    """out[v][base signed edge] = covering signed edge leaving v with that label."""
+    out = {v: {} for v in range(1, c.graph.vertex_count + 1)}
+    lab = c.labeled.labeling
+    for k in range(1, len(c.graph.edges) + 1):
+        lbl = lab.map_edge(k)
+        out[origin(c.graph, k)][lbl] = k
+        out[terminus(c.graph, k)][-lbl] = -k
+    return out
+
+
+def lift_path(c, path, start, tables=None):
+    """End vertex of the unique lift of a base path starting at a cover vertex."""
+    if tables is None:
+        tables = _lift_tables(c)
+    v = start
+    for s in path:
+        v = terminus(c.graph, tables[v][s])
+    return v
+
+
+def _orientations(x, every_orientation):
+    if every_orientation:
+        return [sorted(pc.orientations) for pc in x.polygons]
+    return [[pc.canonical] for pc in x.polygons]
+
+
+def _moved(value):
+    return [i != j for i, j in enumerate(value.images, start=1)]
+
+
+def ref_cochain_norm(a, mu2):
+    return sum((w * Fraction(a.degree - path_value(a, pc.canonical).fixed_points(), a.degree)
+                for w, pc in zip(mu2, a.space.polygons)), Fraction(0))
+
+
+def ref_coboundary_distance(a, b, mu2):
+    total = Fraction(0)
+    for w, orients in zip(mu2, _orientations(a.space, True)):
+        inner = sum((hamming_distance_with_errors(path_value(a, o), path_value(b, o))
+                     for o in orients), Fraction(0))
+        total += w * inner / len(orients)
+    return total
+
+
+def ref_cocycle_tables(a, every_orientation):
+    return [[_moved(path_value(a, o)) for o in orients]
+            for orients in _orientations(a.space, every_orientation)]
+
+
+def ref_cover_tables(c, x, every_orientation):
+    lift = _lift_tables(c)
+    return [[[lift_path(c, o, start, lift) != start
+              for start in c.fiber_labels[origin(x.skeleton, o[0]) - 1]]
+             for o in orients]
+            for orients in _orientations(x, every_orientation)]
+
+
+def perms(n):
+    return st.permutations(range(1, n + 1)).map(Permutation)
+
+
+@st.composite
+def cochains(draw, x=None, n=None):
+    x = draw(st.sampled_from(SPACES)) if x is None else x
+    n = draw(st.integers(1, 6)) if n is None else n
+    return Cochain1(x, n, tuple(draw(perms(n)) for _ in x.skeleton.edges))
+
+
+@st.composite
+def weights(draw, x):
+    """Random rational polygon weights, some of them zero, or None."""
+    if draw(st.booleans()):
+        return None
+    raw = draw(st.lists(st.integers(0, 3), min_size=len(x.polygons),
+                        max_size=len(x.polygons)))
+    raw[draw(st.integers(0, len(raw) - 1))] += 1
+    return polygon_weights(x, [Fraction(v, sum(raw)) for v in raw])
+
+
+def _mu2(x, ws):
+    return ws.mu2 if ws is not None else [Fraction(1, len(x.polygons))] * len(x.polygons)
+
+
+def _lists(tables):
+    return [t.tolist() for t in tables]
+
+
+@pytest.mark.filterwarnings("ignore:mu")
+@given(st.data())
+def test_cochain_norm_matches_reference(data):
+    a = data.draw(cochains())
+    ws = data.draw(weights(a.space))
+    assert cochain_norm(a, ws) == ref_cochain_norm(a, _mu2(a.space, ws))
+
+
+@pytest.mark.filterwarnings("ignore:mu")
+@given(st.data())
+def test_coboundary_distance_matches_reference(data):
+    a = data.draw(cochains())
+    mixed = data.draw(st.booleans())
+    b = data.draw(cochains(a.space, data.draw(st.integers(1, 6)) if mixed else a.degree))
+    ws = data.draw(weights(a.space))
+    ref = ref_coboundary_distance(a, b, _mu2(a.space, ws))
+    assert coboundary_distance(a, b, ws) == ref
+    assert coboundary_distance(b, a, ws) == ref
+
+
+@given(cochains(), st.booleans())
+def test_cocycle_tables_match_reference(a, every_orientation):
+    tables = _cocycle_tables(a, every_orientation)
+    assert _lists(tables) == ref_cocycle_tables(a, every_orientation)
+    assert all(t.dtype == bool for t in tables)
+
+
+@st.composite
+def hom_instances(draw):
+    g = draw(st.integers(1, 3))
+    letters = [s for k in range(1, g + 1) for s in (k, -k)]
+    relators = draw(st.lists(st.lists(st.sampled_from(letters), max_size=6).map(tuple),
+                             min_size=1, max_size=4))
+    n = draw(st.integers(1, 6))
+    return Presentation(g, tuple(relators)), tuple(draw(perms(n)) for _ in range(g))
+
+
+@given(hom_instances())
+def test_hom_tables_match_reference(inst):
+    p, images = inst
+    assert _lists(_hom_tables(p, images)) == [[_moved(evaluate_word(r, images))]
+                                              for r in p.relators]
+
+
+def test_hom_tables_of_empty_relators_reject_nothing():
+    p = Presentation(2, ((), (1, 2, -1, -2), ()))
+    images = (Permutation([2, 1, 3]), Permutation([1, 3, 2]))
+    assert _lists(_hom_tables(p, images)) == [[[False] * 3], [[True, True, True]],
+                                              [[False] * 3]]
+
+
+@pytest.mark.parametrize("letter", [0, 4, -4])
+def test_polygon_letters_outside_the_alphabet_raise(letter):
+    # a hand-built polygon class is not checked on construction; the fold
+    # refuses its letters instead of reading the wrong table row
+    x = instances.triangle_complex()
+    word = (1, letter, 3)
+    bad = PolygonalComplex(x.skeleton, (PolygonClass(word, word, frozenset([word])),))
+    a = Cochain1(bad, 3, (Permutation([2, 3, 1]),) * 3)
+    for call in (lambda: cochain_norm(a), lambda: coboundary_distance(a, a),
+                 lambda: _cocycle_tables(a, True), lambda: path_value(a, word)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@st.composite
+def relabeled_coverings(draw):
+    """The covering of a random cochain with every fiber's labels reordered."""
+    a = draw(cochains())
+    c = cochain_to_covering(a)
+    fibers = tuple(tuple(draw(st.permutations(fib))) for fib in c.fiber_labels)
+    return Covering(c.labeled, c.degree, fibers), a.space
+
+
+@given(relabeled_coverings(), st.booleans())
+def test_cover_tables_match_point_lifts(inst, every_orientation):
+    c, x = inst
+    assert _lists(_cover_tables(c, x, every_orientation)) == \
+        ref_cover_tables(c, x, every_orientation)
+
+
+# ---------------------------------------------------------------------------
+# malformed coverings built in code
+
+
+def _rebuilt(c, edges=None, edge_map=None, fibers=None):
+    graph = Graph(c.graph.vertex_count, c.graph.edges if edges is None else edges)
+    lab = c.labeled.labeling
+    labeling = CombinatorialMap(graph, lab.target, lab.vertex_map,
+                                lab.edge_map if edge_map is None else edge_map)
+    return Covering(LabeledGraph(graph, labeling), c.degree,
+                    c.fiber_labels if fibers is None else fibers)
+
+
+def _with_fiber_label(c, label):
+    first, *rest = c.fiber_labels
+    return _rebuilt(c, fibers=((label, *first[1:]), *rest))
+
+
+def _first_edge(c, edge=None, label=None):
+    """c with its first covering edge or that edge's label replaced."""
+    edges = c.graph.edges if edge is None else (edge,) + c.graph.edges[1:]
+    labels = c.labeled.labeling.edge_map
+    return _rebuilt(c, edges=edges, edge_map=labels if label is None else (label,) + labels[1:])
+
+
+def _malformed():
+    x = instances.triangle_complex()
+    c = cochain_to_covering(Cochain1(x, 2, (Permutation([2, 1]),) * 3))
+    size, m = c.graph.vertex_count, len(x.skeleton.edges)
+    bouquet = instances.bouquet_a3()
+    loop = cochain_to_covering(Cochain1(bouquet, 2, (Permutation([2, 1]),)))
+    shared = _rebuilt(loop, edges=tuple((u, 1) for u, _ in loop.graph.edges))
+    yield "fiber label 0", _with_fiber_label(c, 0), x
+    yield "negative fiber label", _with_fiber_label(c, -1), x
+    yield "fiber label above the vertex count", _with_fiber_label(c, size + 1), x
+    yield "edge label out of range", _first_edge(c, label=m + 1), x
+    yield "edge label 0", _first_edge(c, label=0), x
+    yield "edge end above the vertex count", _first_edge(c, edge=(1, size + 1)), x
+    yield "edge end far above the vertex count", _first_edge(c, edge=(1, size + 9)), x
+    yield "negative edge end", _first_edge(c, edge=(-size - 9, 3)), x
+    yield "two lifts share a terminus", shared, bouquet
+    yield "degree 0", Covering(c.labeled, 0, c.fiber_labels), x
+    yield "a fiber missing", Covering(c.labeled, 2, c.fiber_labels[:2]), x
+    # (6, 3) joins the right sheets, but 6 lies over base vertex 3, not 1
+    yield "lift leaves its fiber", _first_edge(c, edge=(6, 3)), x
+
+
+@pytest.mark.parametrize("case", list(_malformed()), ids=lambda case: case[0])
+def test_malformed_covering_raises_value_error(case):
+    _, c, x = case
+    for call in (lambda: covering_to_cochain(c, x), lambda: cover_local_defect(c, x),
+                 lambda: run_sampled("cover", (c, x), 10, seed=0)):
+        with pytest.raises(ValueError):
+            call()
+
+
+@settings(max_examples=30)
+@given(relabeled_coverings())
+def test_covering_to_cochain_reads_the_lifts(inst):
+    # alpha(e) sends the sheet of each lift's terminus to the sheet of its origin
+    c, x = inst
+    a = covering_to_cochain(c, x)
+    sheet = {v: i for fib in c.fiber_labels for i, v in enumerate(fib, start=1)}
+    lift = _lift_tables(c)
+    for e, (u, _) in enumerate(x.skeleton.edges, start=1):
+        for v in c.fiber_labels[u - 1]:
+            w = terminus(c.graph, lift[v][e])
+            assert a.values[e - 1](sheet[w]) == sheet[v]

@@ -324,6 +324,20 @@ def test_cheeger_dim1_coboundary_torus_vanishes():
     assert rep.value == 0
 
 
+def test_cheeger_labels_a_guarded_denominator_heuristic():
+    # with align_guard=1 every distance falls back to identity alignment,
+    # which overstates the denominator and understates the ratio
+    x = instances.triangle_complex()
+    guarded = cheeger(x, 1, "cocycle", 2, align_guard=1)
+    assert (guarded.value, guarded.exactness) == (1, "heuristic")
+    exact = cheeger(x, 1, "cocycle", 2)
+    assert (exact.value, exact.exactness) == (3, "exact-within-cap")
+    for rep in (cheeger(x, 1, "coboundary", 2),
+                cheeger(instances.complete_graph(4), variant="classical"),
+                cheeger(instances.cycle_graph(4), 0, "cocycle", 2)):
+        assert rep.exactness == "exact-within-cap"
+
+
 def test_cheeger_guard():
     with pytest.raises(GuardExceeded):
         cheeger(instances.petersen_graph(), 0, "cocycle", 3, enum_guard=100)

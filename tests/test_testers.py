@@ -245,7 +245,7 @@ def test_dm_equality_characterization():
     # the discrete-metric defect equals the pointwise one exactly when every
     # violated polygon has all of its lifts open
     rng = np.random.default_rng(202)
-    from permstab.testers import _lift_tables, lift_path
+    from test_kernel_reference import _lift_tables, lift_path
     from permstab.graphs import origin
 
     for x in (instances.bouquet_a3(), instances.complete_complex(4)):
