@@ -22,12 +22,11 @@ import numpy as np
 from . import fileio, instances
 from .cochains import (Cochain1, cochain_to_covering, covering_to_cochain,
                        skeleton_of, tree_normalize)
-from .complexes import (PolygonalComplex, Presentation,
-                        fundamental_presentation, polygon_weights,
-                        presentation_complex, validate_complex)
+from .complexes import (PolygonalComplex, fundamental_presentation,
+                        polygon_weights, presentation_complex,
+                        validate_complex)
 from .errors import GuardExceeded
 from .graphs import Covering, Graph, validate_graph, validate_map
-from .perm import Permutation
 from .stability import (cheeger, global_defect, h1_vanishing_check,
                         spectral_gap, stability_profile)
 from .testers import (cocycle_local_defect, cover_local_defect,
@@ -42,6 +41,8 @@ def _fmt(v) -> str:
         return fileio.frac_to_str(v)
     if isinstance(v, float):
         return f"{v:.12f}"
+    if isinstance(v, list):   # space-separated, so that a CSV row keeps its columns
+        return " ".join(map(str, v)) or "none"
     return str(v)
 
 
@@ -75,20 +76,18 @@ def _parse_tree(arg: str | None) -> frozenset[int] | None:
     return frozenset(int(v) for v in arg.split(",") if v)
 
 
-def _load_hom_instance(path: str) -> tuple[Presentation, tuple[Permutation, ...]]:
-    d = fileio.load_json(path)
-    if "presentation" not in d or "images" not in d:
-        raise ValueError("hom instance file needs 'presentation' and 'images'")
-    p = fileio.presentation_from_dict(d["presentation"])
-    images = tuple(Permutation(img) for img in d["images"])
-    return p, images
+def _load_kind(path: str, kind: str):
+    found, obj = fileio.load_object(path)
+    if found != kind:
+        raise ValueError(f"expected a {kind} file, got a {found} file")
+    return obj
 
 
 def _defect_object(args) -> tuple[str, object, object]:
     """Resolve (kind, tester object, weights) from CLI arguments."""
     kind = args.kind.replace("-", "_")
     if kind == "hom":
-        p, images = _load_hom_instance(args.input)
+        p, images = _load_kind(args.input, "hom_instance")
         return kind, (p, images), _load_weights(args.weights, None)
     if kind == "cocycle":
         _, a = fileio.load_object(args.input)
@@ -105,7 +104,7 @@ def _defect_object(args) -> tuple[str, object, object]:
             raise ValueError("cover defects need a covering file and a complex file")
         return kind, (c, x), _load_weights(args.weights, x)
     if kind == "matrix":
-        rows, vector, mu = fileio.matrix_from_dict(fileio.load_json(args.input))
+        rows, vector, mu = _load_kind(args.input, "matrix")
         if args.weights is not None:
             mu = _load_weights(args.weights, None)
         return kind, (rows, vector), mu
@@ -166,7 +165,8 @@ def cmd_defect(args) -> int:
         print("guard exceeded and --no-heuristic given", file=sys.stderr)
         return 2
     _emit({"scope": "global", "kind": res.kind, "upper_bound": res.upper_bound,
-           "n_max": res.n_max_searched, "exactness": res.exactness}, args.format)
+           "n_max": res.n_max_searched, "exactness": res.exactness,
+           "degrees_skipped": list(res.degrees_skipped)}, args.format)
     return 0
 
 

@@ -462,6 +462,12 @@ def _extend_injection(mapped: Sequence[int], big: int) -> Permutation:
     return _trusted(tuple(mapped) + tuple(next(rest) for _ in range(big - len(mapped))))
 
 
+def alignment_guard_refuses(vertex_count: int, n: int, big: int, guard: int) -> bool:
+    """Whether orbit_distance refuses a degree-n input against a degree-big
+    candidate: one injection per vertex gives P(big, n)^vertex_count tuples."""
+    return math.perm(big, n) ** vertex_count > guard
+
+
 def orbit_distance(alpha: Cochain1, candidate: Cochain1,
                    guard: int = 10 ** 6) -> OrbitDistanceResult:
     """Minimum distance from alpha to the 0-cochain action orbit of candidate.
@@ -479,7 +485,7 @@ def orbit_distance(alpha: Cochain1, candidate: Cochain1,
     if big < n:
         raise ValueError("candidate degree must be at least the input degree")
     p_count = math.perm(big, n)
-    if p_count ** g.vertex_count > guard:
+    if alignment_guard_refuses(g.vertex_count, n, big, guard):
         raise GuardExceeded(
             f"orbit search needs {p_count}^{g.vertex_count} alignment tuples "
             f"(guard {guard})")

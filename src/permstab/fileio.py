@@ -2,7 +2,9 @@
 
 All structures serialize to plain JSON; exact rationals are written as
 "p/q" strings.  A cochain file may reference its complex either inline or as
-a relative path.
+a relative path.  Every integer field is read strictly: a bool or a float
+(2.0 included) is refused with a ValueError naming the field, never
+truncated.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .cochains import Cochain0, Cochain1, skeleton_of
 from .complexes import (PolygonalComplex, Presentation, polygon_orbit,
                         polygon_weights)
 from .graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
-                     check_covering)
+                     check_covering, validate_graph, validate_map)
 from .perm import Permutation
 
 
@@ -31,6 +33,26 @@ def frac_from_str(s: str | int | float) -> Fraction:
     return Fraction(s)
 
 
+def _int(value: Any, field: str, *args: int) -> int:
+    """An integer field as JSON holds it; bool is refused although it is an int.
+
+    The error names the field as ``field % args``, formatted only on failure.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{field % args} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(value: Any, field: str, *args: int) -> list[int]:
+    """A list of integers, refused as a whole when any entry is not one."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field % args} must be a list of integers, got {value!r}")
+    for i, v in enumerate(value, start=1):
+        if type(v) is not int:
+            raise ValueError(f"{field % args} entry {i} must be an integer, got {v!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -42,11 +64,13 @@ def graph_to_dict(g: Graph) -> dict[str, Any]:
 
 
 def graph_from_dict(d: dict[str, Any]) -> Graph:
-    records = sorted(d["edges"], key=lambda r: r["id"])
+    records = sorted(d["edges"], key=lambda r: _int(r["id"], "edge id"))
     for k, rec in enumerate(records, start=1):
         if rec["id"] != k:
             raise ValueError(f"edge ids must be 1..{len(records)} without gaps")
-    return Graph(int(d["vertices"]), tuple((r["from"], r["to"]) for r in records))
+    return Graph(_int(d["vertices"], "vertices"),
+                 tuple((_int(r["from"], "edge %d from", k), _int(r["to"], "edge %d to", k))
+                       for k, r in enumerate(records, start=1)))
 
 
 def labeled_graph_to_dict(lg: LabeledGraph) -> dict[str, Any]:
@@ -58,15 +82,14 @@ def labeled_graph_to_dict(lg: LabeledGraph) -> dict[str, Any]:
 
 
 def labeled_graph_from_dict(d: dict[str, Any]) -> LabeledGraph:
-    from .graphs import validate_graph, validate_map
-
     g = graph_from_dict(d)
     base = graph_from_dict(d["base"])
     for which, graph in (("graph", g), ("base graph", base)):
         rep = validate_graph(graph)
         if not rep.ok:
             raise ValueError(f"invalid {which}: {rep.message}")
-    labeling = CombinatorialMap(g, base, tuple(d["vertex_map"]), tuple(d["edge_map"]))
+    labeling = CombinatorialMap(g, base, tuple(_int_list(d["vertex_map"], "vertex_map")),
+                                tuple(_int_list(d["edge_map"], "edge_map")))
     rep = validate_map(labeling)
     if not rep.ok:
         raise ValueError(f"invalid labeling: {rep.message}")
@@ -87,9 +110,9 @@ def covering_from_dict(d: dict[str, Any]) -> Covering:
     ``check_covering`` and each stored fiber must list exactly its fiber.
     """
     lg = labeled_graph_from_dict(d)
-    degree = int(d["degree"])
+    degree = _int(d["degree"], "degree")
     canonical = check_covering(lg.labeling, degree).fiber_labels
-    fibers = tuple(tuple(d["fiber_labels"][str(x)])
+    fibers = tuple(tuple(_int_list(d["fiber_labels"][str(x)], "fiber labels over vertex %d", x))
                    for x in range(1, lg.base.vertex_count + 1))
     for x, (stored, fib) in enumerate(zip(fibers, canonical), start=1):
         if sorted(stored) != list(fib):
@@ -108,8 +131,19 @@ def complex_to_dict(x: PolygonalComplex) -> dict[str, Any]:
 
 
 def complex_from_dict(d: dict[str, Any]) -> PolygonalComplex:
+    """Load a complex, refusing what ``validate_complex`` refuses.
+
+    ``polygon_orbit`` already checks each polygon, so only the skeleton and
+    repeated polygons are left to check here.
+    """
     g = graph_from_dict(d)
-    polys = tuple(polygon_orbit(g, tuple(p)) for p in d["polygons"])
+    rep = validate_graph(g)
+    if not rep.ok:
+        raise ValueError(f"invalid complex: {rep.message}")
+    polys = tuple(polygon_orbit(g, tuple(_int_list(p, "polygon %d", i)))
+                  for i, p in enumerate(d["polygons"], start=1))
+    if len({pc.canonical for pc in polys}) != len(polys):
+        raise ValueError("invalid complex: two polygons have the same pasted path")
     return PolygonalComplex(g, polys)
 
 
@@ -118,7 +152,16 @@ def presentation_to_dict(p: Presentation) -> dict[str, Any]:
 
 
 def presentation_from_dict(d: dict[str, Any]) -> Presentation:
-    return Presentation(int(d["generators"]), tuple(tuple(r) for r in d["relators"]))
+    return Presentation(_int(d["generators"], "generators"),
+                        tuple(tuple(_int_list(r, "relator %d", i))
+                              for i, r in enumerate(d["relators"], start=1)))
+
+
+def hom_instance_from_dict(d: dict[str, Any]) -> tuple[Presentation, tuple[Permutation, ...]]:
+    """A presentation with one generator image each: {"presentation", "images"}."""
+    return (presentation_from_dict(d["presentation"]),
+            tuple(Permutation(_int_list(img, "image %d", i))
+                  for i, img in enumerate(d["images"], start=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +179,11 @@ def _space_from_value(value, base_dir: Path | None):
         path = Path(value)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        with open(path, encoding="utf-8") as fh:
-            value = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                value = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read the complex file {str(path)!r}: {exc.strerror}") from exc
     if "polygons" in value:
         return complex_from_dict(value)
     return graph_from_dict(value)
@@ -157,15 +203,17 @@ def cochain0_to_dict(b: Cochain0) -> dict[str, Any]:
 
 def cochain_from_dict(d: dict[str, Any], base_dir: Path | None = None) -> Cochain0 | Cochain1:
     space = _space_from_value(d["complex"], base_dir)
-    n = int(d["n"])
-    dim = int(d.get("dimension", 1))
+    n = _int(d["n"], "n")
+    dim = _int(d.get("dimension", 1), "dimension")
+    if dim not in (0, 1):
+        raise ValueError(f"cochain dimension must be 0 or 1, got {dim}")
     g = skeleton_of(space)
     count = g.vertex_count if dim == 0 else len(g.edges)
     values = []
     for key in range(1, count + 1):
         if str(key) not in d["values"]:
             raise ValueError(f"missing value for cell {key}")
-        values.append(Permutation(d["values"][str(key)]))
+        values.append(Permutation(_int_list(d["values"][str(key)], "value of cell %d", key)))
     cls = Cochain0 if dim == 0 else Cochain1
     return cls(space, n, tuple(values))
 
@@ -175,8 +223,8 @@ def cochain_from_dict(d: dict[str, Any], base_dir: Path | None = None) -> Cochai
 
 
 def matrix_from_dict(d: dict[str, Any]):
-    rows = [[int(v) for v in row] for row in d["rows"]]
-    vector = [int(v) for v in d["vector"]]
+    rows = [_int_list(row, "row %d", i) for i, row in enumerate(d["rows"], start=1)]
+    vector = _int_list(d["vector"], "vector")
     mu = [frac_from_str(v) for v in d["mu"]] if "mu" in d else None
     return rows, vector, mu
 
@@ -191,6 +239,8 @@ def weights_from_dict(d: dict[str, Any], x: PolygonalComplex):
 
 
 def detect_kind(d: dict[str, Any]) -> str:
+    if "presentation" in d and "images" in d:
+        return "hom_instance"
     if "generators" in d:
         return "presentation"
     if "rows" in d:
@@ -238,6 +288,7 @@ def load_object(path: str | Path):
         "complex": lambda: complex_from_dict(d),
         "graph": lambda: graph_from_dict(d),
         "matrix": lambda: matrix_from_dict(d),
+        "hom_instance": lambda: hom_instance_from_dict(d),
     }
     if kind == "weights":
         raise ValueError("weight files need a complex; load them explicitly")

@@ -5,6 +5,14 @@ over degrees N in [n, n_max] (default n + 2) and results are always labeled:
 ``exact-within-cap`` means the minimum over all valid objects of degree at
 most n_max was found, ``heuristic`` means some search guard tripped and the
 value is only a best-found upper bound.
+
+A degree-N target agrees with a degree-n input on at most n of N points per
+edge or generator, so it lies at distance at least 1 - n/N.  Once the best
+bound found is at most that floor, degree N cannot improve on it (ties keep
+the first minimum) and is skipped without enumerating or aligning anything;
+the result lists those degrees in ``degrees_skipped``.  Bound and witness are
+those of the full search.  Labels keep their meaning: a skipped degree that
+a guard would have refused still makes the result ``heuristic``.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cochains import (Cochain0, Cochain1, act0on1, coboundary0,
-                       cochain_distance, cochain_norm, cochain_to_covering,
-                       covering_to_cochain, edge_norm, identity_cochain1,
-                       is_coboundary, orbit_distance, skeleton_of)
+from .cochains import (Cochain0, Cochain1, act0on1, alignment_guard_refuses,
+                       coboundary0, cochain_distance, cochain_norm,
+                       cochain_to_covering, covering_to_cochain, edge_norm,
+                       identity_cochain1, is_coboundary, orbit_distance,
+                       skeleton_of)
 from .complexes import (FundamentalPresentation, PolygonalComplex,
                         Presentation, fundamental_presentation)
 from .errors import GuardExceeded
@@ -41,10 +50,15 @@ DEFAULT_ENUM_GUARD = 10 ** 6
 # homomorphism enumeration
 
 
+def _hom_guard_refuses(generator_count: int, degree: int, guard: int) -> bool:
+    """Whether enumerate_homomorphisms refuses: degree!^generator_count raw
+    assignments exceed the guard."""
+    return math.factorial(degree) ** generator_count > guard
+
+
 @lru_cache(maxsize=512)
 def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> tuple[tuple[Permutation, ...], ...]:
-    raw = math.factorial(degree) ** p.generator_count
-    if raw > guard:
+    if _hom_guard_refuses(p.generator_count, degree, guard):
         raise GuardExceeded(
             f"homomorphism search space {math.factorial(degree)}^{p.generator_count} "
             f"exceeds guard {guard}")
@@ -124,6 +138,7 @@ class GlobalDefectResult:
     witness: object
     n_max_searched: int
     exactness: str  # "exact-within-cap" | "heuristic"
+    degrees_skipped: tuple[int, ...] = ()  # ruled out by the 1 - n/N floor
 
     def __post_init__(self) -> None:
         if not 0 <= self.upper_bound <= 1:
@@ -173,14 +188,28 @@ def _conjugates(a: Cochain1) -> set[tuple[tuple[int, ...], ...]]:
     return seen
 
 
+def _floor_rules_out(best: Fraction | None, n: int, degree: int) -> bool:
+    """Whether no degree-``degree`` target can beat ``best`` for a degree-n input.
+
+    Such a target agrees on at most n of ``degree`` points per edge or
+    generator, so it lies at distance at least 1 - n/degree; a tie keeps the
+    first minimum, so skipping the degree leaves bound and witness unchanged.
+    """
+    return best is not None and best <= 1 - Fraction(n, degree)
+
+
 def _distance_to_candidates(alpha: Cochain1, candidates_per_degree, n_max: int,
-                            align_guard: int) -> tuple[Fraction | None, Cochain1 | None, bool]:
+                            align_guard: int, candidates_refused=lambda degree: False
+                            ) -> tuple[Fraction | None, Cochain1 | None, bool, tuple[int, ...]]:
     """Minimize d(alpha, beta.candidate) over degrees, candidates, relabelings.
 
     ``candidates_per_degree(N)`` yields tree-trivial candidate cochains of
-    degree N (raising GuardExceeded when it cannot enumerate).  The relabeling
-    minimum is exact via orbit_distance; when its guard trips we fall back to
-    the identity alignment and flag the result heuristic.
+    degree N (raising GuardExceeded when it cannot enumerate, exactly when
+    ``candidates_refused(N)``).  The relabeling minimum is exact via
+    orbit_distance; when its guard trips we fall back to the identity
+    alignment and flag the result heuristic.  Returns the bound, witness,
+    exactness and the degrees skipped by the 1 - n/N floor; a skipped degree
+    is flagged heuristic when a guard would have refused it.
 
     A conjugate g^-1 cand g is cand acted on by the constant 0-cochain g, so
     it has the same orbit and the same orbit distance.  Once a candidate is
@@ -192,7 +221,15 @@ def _distance_to_candidates(alpha: Cochain1, candidates_per_degree, n_max: int,
     best: Fraction | None = None
     best_witness: Cochain1 | None = None
     exact = True
-    for degree in range(alpha.degree, n_max + 1):
+    skipped: list[int] = []
+    n, vertices = alpha.degree, skeleton_of(alpha.space).vertex_count
+    for degree in range(n, n_max + 1):
+        if _floor_rules_out(best, n, degree):
+            skipped.append(degree)
+            if candidates_refused(degree) or \
+                    alignment_guard_refuses(vertices, n, degree, align_guard):
+                exact = False
+            continue
         try:
             candidates = candidates_per_degree(degree)
         except GuardExceeded:
@@ -213,8 +250,8 @@ def _distance_to_candidates(alpha: Cochain1, candidates_per_degree, n_max: int,
             if best is None or d < best:
                 best, best_witness = d, wit
                 if best == 0:
-                    return best, best_witness, exact
-    return best, best_witness, exact
+                    return best, best_witness, exact, tuple(skipped)
+    return best, best_witness, exact, tuple(skipped)
 
 
 def global_defect(kind: str, obj, n_max: int | None = None, *,
@@ -222,6 +259,12 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
                   hom_guard: int = DEFAULT_HOM_GUARD,
                   align_guard: int = DEFAULT_ALIGNMENT_GUARD) -> GlobalDefectResult:
     """Upper bound on the distance to the nearest valid object of degree <= n_max.
+
+    Every kind skips a degree N once the best bound found is at most the
+    floor 1 - n/N that every degree-N target obeys; the result lists those
+    degrees in ``degrees_skipped``.  Bound and witness equal those of the full
+    search, and the label keeps its meaning: a skipped degree that a guard
+    would have refused still makes the result ``heuristic``.
 
     * ``hom``:    obj = (Presentation, images); minimizes the generator-average
       distance over every homomorphism of every degree in [n, n_max].
@@ -244,7 +287,13 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
         cap = n + 2 if n_max is None else n_max
         best = best_wit = None
         exact = True
+        skipped = []
         for degree in range(n, cap + 1):
+            if _floor_rules_out(best, n, degree):
+                skipped.append(degree)
+                if _hom_guard_refuses(p.generator_count, degree, hom_guard):
+                    exact = False
+                continue
             try:
                 homs = enumerate_homomorphisms(p, degree, guard=hom_guard)
             except GuardExceeded:
@@ -257,7 +306,8 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
         if best is None:
             raise GuardExceeded("no degree could be searched; raise hom_guard")
         return GlobalDefectResult("hom", best, best_wit, cap,
-                                  "exact-within-cap" if exact else "heuristic")
+                                  "exact-within-cap" if exact else "heuristic",
+                                  tuple(skipped))
 
     if kind == "cocycle":
         alpha: Cochain1 = obj
@@ -271,11 +321,14 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
             homs = enumerate_homomorphisms(fp.presentation, degree, guard=hom_guard)
             return [_tree_trivial_cochain(x, fp, f, degree) for f in homs]
 
-        best, wit, exact = _distance_to_candidates(alpha, candidates, cap, align_guard)
+        best, wit, exact, skipped = _distance_to_candidates(
+            alpha, candidates, cap, align_guard,
+            lambda degree: _hom_guard_refuses(fp.presentation.generator_count, degree,
+                                              hom_guard))
         if best is None:
             raise GuardExceeded("no degree could be searched; raise the guards")
         return GlobalDefectResult("cocycle", best, wit, cap,
-                                  "exact-within-cap" if exact else "heuristic")
+                                  "exact-within-cap" if exact else "heuristic", skipped)
 
     if kind == "cover":
         c, x = obj
@@ -284,7 +337,8 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
                               hom_guard=hom_guard, align_guard=align_guard)
         return GlobalDefectResult("cover", inner.upper_bound,
                                   cochain_to_covering(inner.witness),
-                                  inner.n_max_searched, inner.exactness)
+                                  inner.n_max_searched, inner.exactness,
+                                  inner.degrees_skipped)
 
     raise ValueError(f"unknown global defect kind {kind!r}")
 
@@ -298,7 +352,7 @@ def distance_to_coboundaries(alpha: Cochain1, n_max: int | None = None,
     cochain, so this is one orbit-distance call per degree.
     """
     cap = alpha.degree + 2 if n_max is None else n_max
-    best, wit, exact = _distance_to_candidates(
+    best, wit, exact, _ = _distance_to_candidates(
         alpha, lambda d: [identity_cochain1(alpha.space, d)], cap, align_guard)
     assert best is not None
     return best, wit, exact

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permstab import fileio, instances
 from permstab.cli import main
@@ -304,11 +304,15 @@ def test_covering_with_misplaced_fiber_labels_is_rejected(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# fuzzed covering files
+# fuzzed files of every kind
 
 FUZZ_X = instances.triangle_complex()
-FUZZ_COVER = fileio.covering_to_dict(cochain_to_covering(
-    Cochain1(FUZZ_X, 2, (Permutation([2, 1]), Permutation([1, 2]), Permutation([2, 1])))))
+FUZZ_ALPHA = Cochain1(FUZZ_X, 2, (Permutation([2, 1]), Permutation([1, 2]), Permutation([2, 1])))
+FUZZ_COVER = fileio.covering_to_dict(cochain_to_covering(FUZZ_ALPHA))
+FUZZ_COCHAIN = fileio.cochain1_to_dict(FUZZ_ALPHA)
+FUZZ_COMPLEX = fileio.complex_to_dict(instances.torus_complex())
+FUZZ_PRESENTATION = {"generators": 2, "relators": [[1, 2, -1, -2], [1, 1]]}
+FUZZ_MATRIX = {"rows": instances.blr_matrix(2), "vector": [1, 0, 1, 1]}
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
                  st.floats(-3, 12, allow_nan=False), st.text(max_size=3),
                  st.lists(st.integers(-1, 3), max_size=2),
@@ -323,29 +327,35 @@ def _nodes(d, path=()):
         yield from _nodes(value, path + (key,))
 
 
+def _at(d, path):
+    for key in path:
+        d = d[key]
+    return d
+
+
 @st.composite
-def mutated_coverings(draw):
-    """A valid covering file with edges dropped or duplicated, or any node
-    (a label, an id, a whole record or section) replaced by another value."""
-    d = copy.deepcopy(FUZZ_COVER)
+def mutated(draw, base):
+    """A valid file with list entries (edges, letters, labels, rows) dropped or
+    duplicated, or any node (a label, an id, a whole record or section)
+    replaced by another value."""
+    d = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
-        edges = d.get("edges") if isinstance(d, dict) else None
-        if isinstance(edges, list) and edges and draw(st.booleans()):
-            i = draw(st.integers(0, len(edges) - 1))
+        nodes = list(_nodes(d))
+        lists = [path for path in nodes if isinstance(_at(d, path), list) and _at(d, path)]
+        if lists and draw(st.booleans()):
+            seq = _at(d, draw(st.sampled_from(lists)))
+            i = draw(st.integers(0, len(seq) - 1))
             if draw(st.booleans()):
-                edges.pop(i)
+                seq.pop(i)
             else:
-                edges.append(copy.deepcopy(edges[i]))
+                seq.append(copy.deepcopy(seq[i]))
             continue
-        path = draw(st.sampled_from(list(_nodes(d))))
+        path = draw(st.sampled_from(nodes))
         value = draw(JUNK)
         if not path:
             d = value
             continue
-        parent = d
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
+        _at(d, path[:-1])[path[-1]] = value
     return d
 
 
@@ -356,22 +366,82 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutated_coverings())
-def test_fuzzed_covering_files_fail_cleanly(d):
-    # every malformed covering file is refused with exit 1 and a one-line
-    # message: no exception may escape main
+def _consume(kind, path, out, cx):
+    """A command that reads a file of this kind beyond validating it."""
+    return {"covering": ["defect", "local", "--kind", "cover", "--input", path,
+                         "--complex", cx],
+            "cochain": ["defect", "local", "--kind", "cocycle", "--input", path],
+            "complex": ["convert", "--to", "presentation", "--input", path, "--output", out],
+            "presentation": ["convert", "--to", "complex", "--input", path, "--output", out],
+            "matrix": ["defect", "local", "--kind", "matrix", "--input", path]}[kind]
+
+
+def _fails_cleanly(kind, d):
+    """Validate the file and consume it: exit 0 or 1, one-line message, and a
+    file that validate refuses is refused by the consumer too.  Returns the
+    two exit codes."""
     with tempfile.TemporaryDirectory() as tmp:
-        cov, cx = Path(tmp) / "cov.json", Path(tmp) / "x.json"
-        cov.write_text(json.dumps(d), encoding="utf-8")
+        path, out, cx = (str(Path(tmp) / name) for name in ("in.json", "out.json", "x.json"))
+        Path(path).write_text(json.dumps(d), encoding="utf-8")
         fileio.save_json(fileio.complex_to_dict(FUZZ_X), cx)
-        code, out, _ = _main(["validate", "--input", str(cov)])
+        code, text, _ = _main(["validate", "--input", path])
         assert code in (0, 1)
-        assert out.startswith("ok:" if code == 0 else "invalid:"), out
-        dcode, _, err = _main(["defect", "local", "--kind", "cover", "--input", str(cov),
-                               "--complex", str(cx)])
+        assert text.startswith("ok:" if code == 0 else "invalid"), text
+        dcode, _, err = _main(_consume(kind, path, out, cx))
         assert dcode in (0, 1)
         if dcode == 1:
             assert err.startswith("error:"), err
         if code == 1:
             assert dcode == 1
+        return code, dcode
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated(FUZZ_COVER))
+def test_fuzzed_covering_files_fail_cleanly(d):
+    # every malformed covering file is refused with exit 1 and a one-line
+    # message: no exception may escape main
+    _fails_cleanly("covering", d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FUZZ_COCHAIN))
+@example({**FUZZ_COCHAIN, "complex": ""})   # a complex path naming a directory
+@example({**FUZZ_COCHAIN, "complex": "missing.json"})
+def test_fuzzed_cochain_files_fail_cleanly(d):
+    _fails_cleanly("cochain", d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FUZZ_COMPLEX))
+def test_fuzzed_complex_files_fail_cleanly(d):
+    _fails_cleanly("complex", d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FUZZ_PRESENTATION))
+def test_fuzzed_presentation_files_fail_cleanly(d):
+    _fails_cleanly("presentation", d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FUZZ_MATRIX))
+def test_fuzzed_matrix_files_fail_cleanly(d):
+    _fails_cleanly("matrix", d)
+
+
+@pytest.mark.parametrize("kind, base", [
+    ("covering", FUZZ_COVER), ("cochain", FUZZ_COCHAIN), ("complex", FUZZ_COMPLEX),
+    ("presentation", FUZZ_PRESENTATION), ("matrix", FUZZ_MATRIX)])
+def test_non_integer_numbers_are_refused(kind, base):
+    # a bool or a float in any integer field, 2.0 included, is refused by
+    # validate and by the command that reads the file, never truncated
+    assert _fails_cleanly(kind, base) == (0, 0)
+    for path in _nodes(base):
+        value = _at(base, path)
+        if type(value) is not int:
+            continue
+        for bad in (float(value), value + 0.5, True, False):
+            d = copy.deepcopy(base)
+            _at(d, path[:-1])[path[-1]] = bad
+            assert _fails_cleanly(kind, d) == (1, 1), (path, bad)

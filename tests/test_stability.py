@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -169,14 +170,20 @@ def test_global_defect_heuristic_flag_on_guard():
     assert res.upper_bound >= exact.upper_bound
 
 
-def _align_every_candidate(alpha, cap, align_guard):
-    """global_defect("cocycle") without skipping conjugate candidates."""
+def _align_every_candidate(alpha, cap, align_guard,
+                           hom_guard=stability.DEFAULT_HOM_GUARD):
+    """global_defect("cocycle") without skipping conjugate candidates or degrees."""
     x = alpha.space
     fp = fundamental_presentation(x, 1)
     best = witness = None
     exact = True
     for degree in range(alpha.degree, cap + 1):
-        for h in enumerate_homomorphisms(fp.presentation, degree):
+        try:
+            homs = enumerate_homomorphisms(fp.presentation, degree, guard=hom_guard)
+        except GuardExceeded:
+            exact = False
+            continue
+        for h in homs:
             cand = stability._tree_trivial_cochain(x, fp, h, degree)
             try:
                 res = orbit_distance(alpha, cand, guard=align_guard)
@@ -186,7 +193,56 @@ def _align_every_candidate(alpha, cap, align_guard):
                 d, wit = cochain_distance(alpha, cand), cand
             if best is None or d < best:
                 best, witness = d, wit
+        if best == 0:   # global_defect stops at a zero distance
+            break
     return best, "exact-within-cap" if exact else "heuristic", witness
+
+
+def _floor_cases():
+    """(complex, n, cap, align_guard, hom_guard) cases for the 1 - n/N floor.
+
+    Besides the default guards, each complex gets a hom_guard and an
+    align_guard that refuse degree cap alone, which the floor skips on many
+    inputs, so the label must still come out heuristic; align_guard=1 refuses
+    every alignment.
+    """
+    default_align, default_hom = stability.DEFAULT_ALIGNMENT_GUARD, stability.DEFAULT_HOM_GUARD
+    cases = []
+    for x, n, cap in ((instances.torus_complex(), 3, 5), (instances.bouquet_a3(), 2, 4),
+                      (instances.complete_complex(4), 2, 4)):
+        g = fundamental_presentation(x, 1).presentation.generator_count
+        v = x.skeleton.vertex_count
+        hom_between = (math.factorial(cap - 1) ** g + math.factorial(cap) ** g) // 2
+        align_between = (math.perm(cap - 1, n) ** v + math.perm(cap, n) ** v) // 2
+        cases += [(x, n, cap, default_align, default_hom),
+                  (x, n, cap, default_align, hom_between),
+                  (x, n, cap, align_between, default_hom),
+                  (x, n, cap, 1, default_hom)]
+    return cases
+
+
+def _floor_skips(n, cap, bound, found):
+    """Degrees after ``found``, where the bound was reached, whose floor
+    1 - n/N the bound already meets."""
+    return tuple(degree for degree in range(found + 1, cap + 1)
+                 if bound <= 1 - Fraction(n, degree))
+
+
+def _check_floor_is_invisible(alpha, cap, align_guard, hom_guard):
+    """Bound, label and witness equal the full search; returns the result."""
+    x = alpha.space
+    bound, label, witness = _align_every_candidate(alpha, cap, align_guard, hom_guard)
+    rc = global_defect("cocycle", alpha, cap, align_guard=align_guard, hom_guard=hom_guard)
+    assert (rc.upper_bound, rc.exactness, rc.witness) == (bound, label, witness)
+    rv = global_defect("cover", (cochain_to_covering(alpha), x), cap,
+                       align_guard=align_guard, hom_guard=hom_guard)
+    assert (rv.upper_bound, rv.exactness, rv.degrees_skipped) == \
+        (bound, label, rc.degrees_skipped)
+    assert rv.witness == cochain_to_covering(witness)
+    # the search stops at a zero bound, so nothing is left to skip
+    assert rc.degrees_skipped == (() if bound == 0 else
+                                  _floor_skips(alpha.degree, cap, bound, witness.degree))
+    return rc
 
 
 def test_global_defect_equals_aligning_every_candidate():
@@ -197,12 +253,75 @@ def test_global_defect_equals_aligning_every_candidate():
     for x, n, guard in cases:
         for _ in range(3):
             a = instances.random_cochain1(x, n, rng)
-            bound, label, witness = _align_every_candidate(a, n + 2, guard)
-            rc = global_defect("cocycle", a, n + 2, align_guard=guard)
-            assert (rc.upper_bound, rc.exactness, rc.witness) == (bound, label, witness)
-            rv = global_defect("cover", (cochain_to_covering(a), x), n + 2, align_guard=guard)
-            assert (rv.upper_bound, rv.exactness) == (bound, label)
-            assert rv.witness == cochain_to_covering(witness)
+            _check_floor_is_invisible(a, n + 2, guard, stability.DEFAULT_HOM_GUARD)
+
+
+def test_degree_floor_keeps_bound_label_and_witness():
+    rng = np.random.default_rng(31)
+    fired = refused = 0
+    for x, n, cap, align_guard, hom_guard in _floor_cases():
+        for _ in range(4):
+            a = instances.random_cochain1(x, n, rng)
+            rc = _check_floor_is_invisible(a, cap, align_guard, hom_guard)
+            fired += bool(rc.degrees_skipped)
+            refused += bool(rc.degrees_skipped) and rc.exactness == "heuristic"
+    # the cases exercise the floor, and a skipped degree that a guard refuses
+    assert fired and refused
+
+
+def _hom_every_degree(p, images, cap, hom_guard):
+    """global_defect("hom") enumerating every degree, with its own distance."""
+    best = witness = None
+    exact = True
+    for degree in range(images[0].degree, cap + 1):
+        try:
+            homs = enumerate_homomorphisms(p, degree, guard=hom_guard)
+        except GuardExceeded:
+            exact = False
+            continue
+        for h in homs:
+            d = sum((hamming_distance_with_errors(q, r) for q, r in zip(images, h)),
+                    Fraction(0)) / len(images)
+            if best is None or d < best:
+                best, witness = d, h
+    return best, "exact-within-cap" if exact else "heuristic", witness
+
+
+def test_hom_degree_floor_keeps_bound_label_and_witness():
+    rng = np.random.default_rng(37)
+    fired = refused = 0
+    for x, n, cap, _, hom_guard in _floor_cases():
+        p = fundamental_presentation(x, 1).presentation
+        for _ in range(4):
+            images = instances.random_images(p.generator_count, n, rng)
+            bound, label, witness = _hom_every_degree(p, images, cap, hom_guard)
+            res = global_defect("hom", (p, images), cap, hom_guard=hom_guard)
+            assert (res.upper_bound, res.exactness, res.witness) == (bound, label, witness)
+            assert res.degrees_skipped == _floor_skips(n, cap, bound, witness[0].degree)
+            fired += bool(res.degrees_skipped)
+            refused += bool(res.degrees_skipped) and res.exactness == "heuristic"
+    assert fired and refused
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(instances.bouquet_a3, 3), (instances.triangle_complex, 3),
+                        (instances.torus_complex, 3), (lambda: instances.complete_complex(4), 2)]),
+       st.integers(1, 3), st.integers(1, 2), st.data())
+def test_candidates_of_higher_degree_obey_the_floor(space, n, step, data):
+    # the lemma behind the degree floor: a degree-N cocycle agrees with a
+    # degree-n cochain on at most n of N points per edge (complete-4 stops at
+    # n=2, where the alignment tensor stays small)
+    make, n_top = space
+    x, n = make(), min(n, n_top)
+    degree = n + step
+    fp = fundamental_presentation(x, 1)
+    values = tuple(Permutation(data.draw(st.permutations(range(1, n + 1))))
+                   for _ in x.skeleton.edges)
+    alpha = Cochain1(x, n, values)
+    homs = enumerate_homomorphisms(fp.presentation, degree, guard=10 ** 9)
+    for i in data.draw(st.lists(st.integers(0, len(homs) - 1), min_size=1, max_size=3)):
+        cand = stability._tree_trivial_cochain(x, fp, homs[i], degree)
+        assert orbit_distance(alpha, cand, guard=10 ** 9).value >= 1 - Fraction(n, degree)
 
 
 def test_global_defect_witness_consistency():
