@@ -17,6 +17,7 @@ re-checking.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -40,6 +41,8 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]) -> None:
         imgs = tuple(images)
+        if set(map(type, imgs)) != {int}:
+            imgs = tuple(_integer(v, "image") for v in imgs)
         if not imgs:
             raise ValueError("degree must be at least 1")
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
@@ -115,7 +118,22 @@ def _trusted(images: tuple[int, ...], into: Permutation | None = None) -> Permut
     return p
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` as a Python int, through ``operator.index``.
+
+    Bools are refused although they are ints, and so is every non-integral
+    value (2.0 included): a ValueError names ``what``.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_degree(n: int) -> int:
+    n = _integer(n, "degree")
     if n < 1:
         raise ValueError("degree must be at least 1")
     return n

@@ -7,10 +7,19 @@ cells from the same tables and exists to model the testers as stated and for
 profiling.  Sampled runs are driven by a counter-based generator (numpy
 Philox) with per-chunk derived seeds, so a run is a pure function of
 (seed, trials).
+
+The stream, named by ``GENERATOR_ID``, is fixed: chunk c holds at most 4096
+trials, is keyed by SeedSequence(seed, spawn_key=(c,)) and reads one uniform
+block, ``random((3, size))`` in plain mode and ``random((2, size, k))`` in
+L-infinity mode over k constraints.  A plain trial's constraint is the index
+``Generator.choice(p=mu)`` gives from the same uniform; a guide table over
+4096 cells finds it without a search outside the cells that hold a step of
+the cumulative distribution.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,10 +33,11 @@ from .cochains import (Cochain1, _covering_images, _fold, _images, _mu2,
 from .complexes import (PolygonalComplex, Presentation, WeightingSystem,
                         uniform_distribution)
 from .graphs import Covering
-from .perm import Permutation
+from .perm import Permutation, _integer
 
 GENERATOR_ID = "numpy-philox4x64/seedseq-chunk4096"
 _CHUNK = 4096
+_GUIDE_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -250,50 +260,113 @@ def _reject_tables(kind: str, obj, weights) -> tuple[tuple[Fraction, ...], list[
     raise ValueError(f"unknown tester kind {kind!r}")
 
 
+def _constraint_guide(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chen-Asau guide table for ``Generator.choice(p=mu)`` over ``_GUIDE_CELLS`` cells.
+
+    ``cdf`` is built exactly as ``choice`` builds it, and ``choice`` returns
+    ``cdf.searchsorted(u, side="right")`` for a uniform u.  ``start[j]`` is
+    that index at the left end ``j / _GUIDE_CELLS`` of cell j; it holds for
+    the whole cell unless a cdf value lies strictly inside it, which
+    ``mixed[j]`` marks.
+    """
+    cdf = mu.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS
+    start = cdf.searchsorted(edges[:-1], side="right")
+    mixed = cdf.searchsorted(edges[1:], side="left") > start
+    return cdf, start, mixed
+
+
+def _draw_constraints(u: np.ndarray, cdf: np.ndarray, start: np.ndarray,
+                      mixed: np.ndarray) -> np.ndarray:
+    """The indices ``Generator.choice(p=mu)`` draws from the uniforms ``u``.
+
+    ``u * _GUIDE_CELLS`` scales by a power of two, so it is exact and so is
+    the cell of u; only uniforms in a cell holding a cdf step are searched.
+    """
+    cell = (u * _GUIDE_CELLS).astype(np.intp)
+    cons = start[cell]
+    if mixed.any():
+        fix = np.flatnonzero(mixed[cell])
+        cons[fix] = cdf.searchsorted(u[fix], side="right")
+    return cons
+
+
+def _sampled_rejections(mu: Sequence[Fraction], tables: list[np.ndarray], trials: int,
+                        seed: int, linf: bool) -> int:
+    """Rejections in ``trials`` seeded draws from the tables; see ``run_sampled``."""
+    orients = np.array([t.shape[0] for t in tables], dtype=np.intp)
+    points = np.array([t.shape[1] for t in tables], dtype=np.intp)
+    flat = np.concatenate([t.reshape(-1) for t in tables])
+    offsets = np.concatenate(([0], np.cumsum(orients * points)[:-1])).astype(np.intp)
+    k = len(tables)
+    if linf:
+        # per-constraint counts repeated for `rows` trials, a power of two and
+        # so a divisor of every full chunk: the index arithmetic then runs on
+        # rows of about _CHUNK entries instead of rows of length k
+        rows = 1 << max(0, (_CHUNK // k).bit_length() - 1)
+        orients, points, offsets = (np.tile(v, rows) for v in (orients, points, offsets))
+    else:
+        weights = np.array([float(w) for w in mu])
+        guide = _constraint_guide(weights / weights.sum())
+
+    def run_chunk(chunk_index: int, size: int) -> int:
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))))
+        if linf:
+            # the random((2, size, k)) block, read g trials to a row
+            g = math.gcd(size, rows)
+            m = g * k
+            u = rng.random((2, size // g, m))
+            idx = (u[0] * orients[:m]).astype(np.intp)
+            idx *= points[:m]
+            idx += offsets[:m]
+            idx += (u[1] * points[:m]).astype(np.intp)
+            rej = flat[idx].reshape(size, k)
+            hit = rej[:, 0].copy()
+            for column in rej.T[1:]:
+                hit |= column
+            return int(np.count_nonzero(hit))
+        u = rng.random((3, size))
+        cons = _draw_constraints(u[0], *guide)
+        pc = points[cons]
+        o = (u[1] * orients[cons]).astype(np.intp)
+        i = (u[2] * pc).astype(np.intp)
+        return int(np.count_nonzero(flat[offsets[cons] + o * pc + i]))
+
+    return sum(run_chunk(idx, min(_CHUNK, trials - idx * _CHUNK))
+               for idx in range((trials + _CHUNK - 1) // _CHUNK))
+
+
 def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
                 weights=None) -> TestOutcome:
     """Seeded Monte Carlo run of a tester.
 
     Each 4096-trial chunk draws from Philox keyed by SeedSequence(seed,
     spawn_key=(chunk,)) and chunk results are summed in order, so the outcome
-    is a pure function of (seed, trials).  ``exact_rate`` is the exact
-    rejection probability read from the same tables the trials sample.  With
-    ``linf`` every constraint is sampled once per trial and a single open
-    check rejects; the exact rate is then 1 - prod(1 - p_c).
+    is a pure function of (seed, trials).  A plain chunk of ``size`` trials
+    reads one ``random((3, size))`` block: row 0 picks the constraint, the
+    index ``Generator.choice(n, size, p=mu)`` gives from the same uniforms,
+    rows 1 and 2 pick the orientation and the point.  With ``linf`` every
+    constraint is sampled once per trial and a single open check rejects; a
+    chunk reads one ``random((2, size, k))`` block for k constraints
+    (orientations, then points).  ``exact_rate`` is the exact rejection
+    probability read from the same tables the trials sample, 1 - prod(1 -
+    p_c) with ``linf``.  ``trials`` and ``seed`` must be integers (not
+    bools), at least 1 and 0.
     """
+    trials = _integer(trials, "trials")
+    seed = _integer(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if linf and kind in ("matrix", "cover_dm"):
         raise ValueError(f"no L-infinity variant for kind {kind!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mu_exact, tables = _reject_tables(kind, obj, weights)
-    exact_rate = _linf_exact(tables) if linf else _rate(mu_exact, tables)
-    n_constraints = len(tables)
-    mu = np.array([float(w) for w in mu_exact])
-    mu = mu / mu.sum()
-    orient_counts = np.array([t.shape[0] for t in tables])
-    point_counts = np.array([t.shape[1] for t in tables])
-    flat = np.concatenate([t.reshape(-1) for t in tables])
-    offsets = np.concatenate(([0], np.cumsum(orient_counts * point_counts)[:-1]))
-
-    def run_chunk(chunk_index: int, size: int) -> int:
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))))
-        if linf:
-            u_orient = rng.random((size, n_constraints))
-            u_point = rng.random((size, n_constraints))
-            o = (u_orient * orient_counts).astype(np.int64)
-            i = (u_point * point_counts).astype(np.int64)
-            rej = flat[offsets + o * point_counts + i].any(axis=1)
-            return int(rej.sum())
-        cons = rng.choice(n_constraints, size=size, p=mu)
-        o = (rng.random(size) * orient_counts[cons]).astype(np.int64)
-        i = (rng.random(size) * point_counts[cons]).astype(np.int64)
-        rej = flat[offsets[cons] + o * point_counts[cons] + i]
-        return int(rej.sum())
-
-    rejections = sum(run_chunk(idx, min(_CHUNK, trials - idx * _CHUNK))
-                     for idx in range((trials + _CHUNK - 1) // _CHUNK))
+        mu, tables = _reject_tables(kind, obj, weights)
+    exact_rate = _linf_exact(tables) if linf else _rate(mu, tables)
+    rejections = _sampled_rejections(mu, tables, trials, seed, linf)
     return TestOutcome(trials, rejections, Fraction(rejections, trials),
                        seed, GENERATOR_ID, exact_rate)

@@ -5,12 +5,19 @@ evaluate polygon and relator values in one batched numpy fold.  The
 references below evaluate one word at a time with ``path_value`` /
 ``evaluate_word`` and lift one point at a time through the covering graph,
 so they share no code with the fold.
+
+The Monte Carlo kernel of ``run_sampled`` (one uniform block per chunk and a
+guide-table constraint draw) is checked against the per-chunk loop with
+``Generator.choice`` that it replaced: the outcomes must be equal, not just
+close.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from permstab import instances
 from permstab.cochains import (Cochain1, coboundary_distance, cochain_norm,
@@ -20,7 +27,8 @@ from permstab.complexes import (PolygonalComplex, PolygonClass, Presentation,
 from permstab.graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
                              origin, terminus)
 from permstab.perm import Permutation, evaluate_word, hamming_distance_with_errors
-from permstab.testers import (_cocycle_tables, _cover_tables, _hom_tables,
+from permstab.testers import (_CHUNK, _cocycle_tables, _constraint_guide, _cover_tables,
+                              _draw_constraints, _hom_tables, _sampled_rejections,
                               cover_local_defect, run_sampled)
 
 # a bouquet whose polygons have lengths 2, 3 and 4
@@ -265,3 +273,95 @@ def test_covering_to_cochain_reads_the_lifts(inst):
         for v in c.fiber_labels[u - 1]:
             w = terminus(c.graph, lift[v][e])
             assert a.values[e - 1](sheet[w]) == sheet[v]
+
+
+# ---------------------------------------------------------------------------
+# the sampled kernel against the per-chunk Generator.choice loop
+
+
+def ref_sampled_rejections(mu, tables, trials, seed, linf):
+    """Per chunk: ``choice`` for the constraints, then one ``random`` call per
+    coordinate, and ``any`` over the constraints of an L-infinity trial."""
+    p = np.array([float(w) for w in mu])
+    p = p / p.sum()
+    orient_counts = np.array([t.shape[0] for t in tables])
+    point_counts = np.array([t.shape[1] for t in tables])
+    flat = np.concatenate([t.reshape(-1) for t in tables])
+    offsets = np.concatenate(([0], np.cumsum(orient_counts * point_counts)[:-1]))
+    total = 0
+    for chunk in range((trials + _CHUNK - 1) // _CHUNK):
+        size = min(_CHUNK, trials - chunk * _CHUNK)
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(chunk,))))
+        if linf:
+            o = (rng.random((size, len(tables))) * orient_counts).astype(np.int64)
+            i = (rng.random((size, len(tables))) * point_counts).astype(np.int64)
+            total += int(flat[offsets + o * point_counts + i].any(axis=1).sum())
+            continue
+        cons = rng.choice(len(tables), size=size, p=p)
+        o = (rng.random(size) * orient_counts[cons]).astype(np.int64)
+        i = (rng.random(size) * point_counts[cons]).astype(np.int64)
+        total += int(flat[offsets[cons] + o * point_counts[cons] + i].sum())
+    return total
+
+
+@st.composite
+def guide_weights(draw, k=None):
+    """Constraint weights that stress the guide table's 4096 cells.
+
+    Small integer ratios (zeros included) put cdf steps inside cells; whole
+    multiples of 1/4096 (1/2 and 3/4096 among them) put every step on a cell
+    edge; a tiny weight puts two steps in one cell.
+    """
+    k = draw(st.integers(1, 60)) if k is None else k
+    tiny = Fraction(1, draw(st.sampled_from([10**6, 2**40, 10**15]))) \
+        if k > 1 and draw(st.booleans()) else None
+    size = k - 1 if tiny else k
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+        raw[draw(st.integers(0, size - 1))] += 1
+        mu = [Fraction(v, sum(raw)) for v in raw]
+    else:
+        cut = st.integers(0, 4096) | st.sampled_from([3, 2048, 3072, 4093])
+        cuts = sorted(draw(st.lists(cut, min_size=size - 1, max_size=size - 1)))
+        ends = [0, *cuts, 4096]
+        mu = [Fraction(b - a, 4096) for a, b in zip(ends, ends[1:])]
+    if tiny:
+        mu = [v * (1 - tiny) for v in mu]
+        mu.insert(draw(st.integers(0, size)), tiny)
+    return mu
+
+
+@st.composite
+def sampled_inputs(draw):
+    k = draw(st.integers(1, 60))
+    shapes = st.tuples(st.integers(1, 6), st.integers(1, 7))
+    tables = [draw(arrays(np.bool_, shape)) for shape in draw(
+        st.lists(shapes, min_size=k, max_size=k))]
+    trials = draw(st.sampled_from([1, 4095, 4096, 4097]) | st.integers(1, 3 * 4096 + 17))
+    return draw(guide_weights(k)), tables, trials, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_inputs(), st.booleans())
+def test_sampled_rejections_match_choice_loop(inputs, linf):
+    mu, tables, trials, seed = inputs
+    assert _sampled_rejections(mu, tables, trials, seed, linf) == \
+        ref_sampled_rejections(mu, tables, trials, seed, linf)
+
+
+@given(guide_weights())
+def test_guide_draw_equals_choice_search_at_every_boundary(mu):
+    # choice returns cdf.searchsorted(u, side="right"); a wrong side, cell or
+    # fix-up shows at a cdf step or a cell edge, or one double either side
+    p = np.array([float(w) for w in mu])
+    cdf, start, mixed = _constraint_guide(p / p.sum())
+    marks = np.concatenate([cdf, np.arange(4096) / 4096])
+    u = np.concatenate([marks, np.nextafter(marks, 0), np.nextafter(marks, 1)])
+    u = u[u < 1]
+    assert (_draw_constraints(u, cdf, start, mixed) == cdf.searchsorted(u, side="right")).all()
+    # the search runs exactly in the cells with a step strictly inside
+    scaled = cdf[cdf < 1] * 4096
+    inside = np.zeros(4096, dtype=bool)
+    inside[scaled[scaled != np.floor(scaled)].astype(np.intp)] = True
+    assert (mixed == inside).all()

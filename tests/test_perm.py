@@ -20,6 +20,30 @@ def test_rejects_non_bijections():
         Permutation([0, 1])
 
 
+
+@pytest.mark.parametrize("images", [[2.0, 1.0], [True], [np.True_], [1, 2.5], ["1"],
+                                    [Fraction(1)]])
+def test_rejects_non_integer_images(images):
+    with pytest.raises(ValueError, match="image"):
+        Permutation(images)
+
+
+@pytest.mark.parametrize("n", [2.0, True, np.True_, "3", Fraction(3)])
+def test_rejects_non_integer_degrees(n):
+    with pytest.raises(ValueError, match="degree"):
+        Permutation.identity(n)
+    with pytest.raises(ValueError, match="degree"):
+        list(all_permutations(n))
+
+
+def test_integer_like_images_are_stored_as_python_ints():
+    for p in (Permutation(np.array([2, 1, 3])), Permutation([np.int32(2), 1]),
+              Permutation.identity(np.int64(3))):
+        assert all(type(v) is int for v in p.images)
+    assert Permutation(np.array([2, 1, 3])) == Permutation([2, 1, 3])
+    assert hash(Permutation(np.array([2, 1]))) == hash(Permutation([2, 1]))
+
+
 def test_compose_identity_and_order():
     swap = Permutation([2, 1])
     assert compose(swap, Permutation.identity(2)) == swap

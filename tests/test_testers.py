@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permstab import instances
-from permstab.cochains import cochain_norm, cochain_to_covering, images_to_cochain
+from permstab.cochains import (Cochain1, cochain_norm, cochain_to_covering,
+                               images_to_cochain)
 from permstab.complexes import (Presentation, fundamental_presentation,
                                 polygon_weights)
 from permstab.perm import Permutation, random_permutation
-from permstab.testers import (cocycle_local_defect, cover_local_defect,
+from permstab.testers import (GENERATOR_ID, cocycle_local_defect, cover_local_defect,
                               dm_cover_local_defect, hom_local_defect,
                               matrix_tester, matrix_to_presentation,
                               run_sampled, vector_to_images)
@@ -264,3 +265,101 @@ def test_dm_equality_characterization():
                     fully_open = False
             assert dm >= cov
             assert (dm == cov) == fully_open
+
+
+# ---------------------------------------------------------------------------
+# the sampled stream, pinned: every kind, plain and L-infinity mode, uniform
+# and non-uniform weights, trial counts around the 4096-trial chunk border
+
+_GOLDEN_TRIALS = (1, 4095, 4096, 4097, 3 * 4096 + 17)
+_GOLDEN_SEEDS = (0, 987654321)
+_K4_VALUES = ([2, 1, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4], [2, 1, 3, 4], [1, 2, 3, 4],
+              [1, 3, 2, 4])
+_HOM_P = Presentation(2, ((1, 1, 1), (1, 2, -1, -2), (2, 2), (1, 1, 2)))
+_HOM_IMAGES = (Permutation([2, 3, 1, 5, 4]), Permutation([1, 3, 2, 5, 4]))
+_MATRIX = ([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1], [1, 1, 0, 0, 1], [0, 0, 1, 1, 1]],
+           [1, 0, 1, 1, 0])
+_SKEWED = (Fraction(1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 6))
+
+
+def _golden_cases():
+    """(name, kind, obj, linf, weights) for every pinned stream."""
+    k4 = instances.complete_complex(4)
+    a = Cochain1(k4, 4, tuple(Permutation(v) for v in _K4_VALUES))
+    cover = (cochain_to_covering(a), k4)
+    ws = polygon_weights(k4, _SKEWED)
+    hom = (_HOM_P, _HOM_IMAGES)
+    matrix_mu = (Fraction(1, 8), Fraction(0), Fraction(3, 8), Fraction(1, 2))
+    return [("hom", "hom", hom, False, None),
+            ("hom-mu", "hom", hom, False, _SKEWED),
+            ("hom-linf", "hom", hom, True, None),
+            ("cocycle", "cocycle", a, False, None),
+            ("cocycle-mu", "cocycle", a, False, ws),
+            ("cocycle-linf", "cocycle", a, True, None),
+            ("cover", "cover", cover, False, None),
+            ("cover-mu", "cover", cover, False, ws),
+            ("cover-linf", "cover", cover, True, None),
+            ("cover_dm", "cover_dm", cover, False, None),
+            ("matrix", "matrix", _MATRIX, False, None),
+            ("matrix-mu", "matrix", _MATRIX, False, matrix_mu)]
+
+
+# rejections for each trial count of _GOLDEN_TRIALS, captured from the
+# per-chunk Generator.choice kernel that the guide-table draw replaced
+_GOLDEN = {
+    ("hom", 0): (0, 1796, 1815, 1815, 5511),
+    ("hom", 987654321): (1, 1838, 1832, 1833, 5525),
+    ("hom-mu", 0): (0, 1312, 1279, 1279, 4016),
+    ("hom-mu", 987654321): (0, 1380, 1365, 1366, 4112),
+    ("hom-linf", 0): (1, 3910, 3911, 3912, 11753),
+    ("hom-linf", 987654321): (1, 3896, 3897, 3898, 11702),
+    ("cocycle", 0): (1, 1779, 1789, 1790, 5362),
+    ("cocycle", 987654321): (1, 1759, 1784, 1785, 5360),
+    ("cocycle-mu", 0): (1, 1164, 1173, 1174, 3532),
+    ("cocycle-mu", 987654321): (0, 1158, 1183, 1184, 3583),
+    ("cocycle-linf", 0): (1, 3860, 3862, 3863, 11560),
+    ("cocycle-linf", 987654321): (1, 3864, 3865, 3866, 11587),
+    ("cover", 0): (1, 1779, 1789, 1790, 5362),
+    ("cover", 987654321): (1, 1759, 1784, 1785, 5360),
+    ("cover-mu", 0): (1, 1164, 1173, 1174, 3532),
+    ("cover-mu", 987654321): (0, 1158, 1183, 1184, 3583),
+    ("cover-linf", 0): (1, 3860, 3862, 3863, 11560),
+    ("cover-linf", 987654321): (1, 3864, 3865, 3866, 11587),
+    ("cover_dm", 0): (1, 3087, 3088, 3089, 9273),
+    ("cover_dm", 987654321): (1, 3027, 3028, 3029, 9144),
+    ("matrix", 0): (1, 3102, 3103, 3104, 9284),
+    ("matrix", 987654321): (1, 3094, 3095, 3095, 9322),
+    ("matrix-mu", 0): (0, 2047, 2047, 2047, 6173),
+    ("matrix-mu", 987654321): (1, 2076, 2077, 2077, 6231),
+}
+
+
+@pytest.mark.filterwarnings("ignore:mu")
+def test_run_sampled_golden_stream():
+    cases = _golden_cases()
+    assert {(name, seed) for name, *_ in cases for seed in _GOLDEN_SEEDS} == set(_GOLDEN)
+    for name, kind, obj, linf, weights in cases:
+        for seed in _GOLDEN_SEEDS:
+            got = tuple(run_sampled(kind, obj, trials, seed, linf=linf,
+                                    weights=weights).rejections
+                        for trials in _GOLDEN_TRIALS)
+            assert got == _GOLDEN[name, seed], (name, seed)
+    assert GENERATOR_ID == "numpy-philox4x64/seedseq-chunk4096"
+
+
+@pytest.mark.parametrize("trials", [1e6, 2.0, True, np.True_, "10", None])
+def test_run_sampled_refuses_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        run_sampled("hom", (A3, (SWAP,)), trials, seed=0)
+
+
+@pytest.mark.parametrize("seed", [1.0, 0.5, False, "1", None, -1])
+def test_run_sampled_refuses_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        run_sampled("hom", (A3, (SWAP,)), 10, seed=seed)
+
+
+def test_run_sampled_takes_numpy_integers():
+    out = run_sampled("hom", (A3, (SWAP,)), np.int64(10), seed=np.uint32(3))
+    assert (out.trials, out.seed) == (10, 3)
+    assert type(out.trials) is int and type(out.seed) is int
