@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: validate, defect, test, convert, cheeger, spectral, h1check,
-weights, profile, equiv, generate.  All randomness flows from --seed
-(default 1729); identical invocations produce byte-identical output.
+weights, profile, equiv, generate; each takes only the options it reads.
+All randomness flows from --seed (default 1729); identical invocations
+produce byte-identical output.
 
 Exit codes: 0 success, 1 validation or check failure, 2 a search guard
-refused the work (a guard with no fallback, as in h1check or cheeger) or
-tripped while --no-heuristic forbade the fallback.
+refused the work or tripped while --no-heuristic forbade the fallback.  A
+guard with no fallback refuses in h1check and cheeger, and in equiv's cover
+check, whose edit search refuses when the cocycle witness was measured
+without alignment because --guard-align tripped.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from .complexes import (PolygonalComplex, fundamental_presentation,
                         polygon_weights, presentation_complex,
                         validate_complex)
 from .errors import GuardExceeded
-from .graphs import Covering, Graph, validate_graph, validate_map
-from .stability import (cheeger, global_defect, h1_vanishing_check,
-                        spectral_gap, stability_profile)
+from .graphs import (Covering, Graph, edit_distance, validate_graph,
+                     validate_map)
+from .stability import (DEFAULT_ALIGNMENT_GUARD, DEFAULT_ENUM_GUARD,
+                        DEFAULT_HOM_GUARD, cheeger, global_defect,
+                        h1_vanishing_check, spectral_gap, stability_profile)
 from .testers import (cocycle_local_defect, cover_local_defect,
                       dm_cover_local_defect, hom_local_defect, matrix_tester,
                       run_sampled)
@@ -283,42 +288,37 @@ def _equiv_checks(a: Cochain1, nmax: int | None, root: int,
     x = a.space
     if not isinstance(x, PolygonalComplex):
         raise ValueError("equiv needs a cochain over a polygonal complex")
-    checks: list[tuple[str, bool]] = []
-
-    cover = cochain_to_covering(a)
-    checks.append(("cover and cocycle local defects equal",
-                   cover_local_defect(cover, x).value == cocycle_local_defect(a).value))
-    checks.append(("covering round trip is exact",
-                   covering_to_cochain(cover, x).values == a.values))
-
-    if x.skeleton.vertex_count == 1:
-        p = fundamental_presentation(x, 1).presentation
-        images = a.values
-        checks.append(("hom and cocycle local defects equal",
-                       hom_local_defect(p, images).value == cocycle_local_defect(a).value))
-        gh = global_defect("hom", (p, images), nmax, hom_guard=hom_guard)
-        gc = global_defect("cocycle", a, nmax, hom_guard=hom_guard,
-                           align_guard=align_guard)
-        checks.append(("hom and cocycle global defects equal within cap",
-                       gh.upper_bound == gc.upper_bound))
-
+    # one hom and one cocycle search, both on the tree-normalised cochain; on
+    # a one-vertex complex the tree is empty and that cochain is a itself
     fp = fundamental_presentation(x, root)
     normalized, _ = tree_normalize(a, fp.tree, root)
     images = tuple(normalized.values[k - 1] for k in fp.generator_edges)
-    checks.append(("normalized restriction matches the cocycle defect",
-                   hom_local_defect(fp.presentation, images).value
-                   == cocycle_local_defect(normalized).value))
+    hom_local = hom_local_defect(fp.presentation, images).value
     gh = global_defect("hom", (fp.presentation, images), nmax, hom_guard=hom_guard)
-    gc = global_defect("cocycle", normalized, nmax, root=root,
-                       hom_guard=hom_guard, align_guard=align_guard)
-    checks.append(("hom global bound dominates the cocycle bound",
-                   gh.upper_bound >= gc.upper_bound))
-    gcov = global_defect("cover", (cover, x), nmax, root=root, hom_guard=hom_guard,
-                         align_guard=align_guard)
-    gc0 = global_defect("cocycle", a, nmax, root=root, hom_guard=hom_guard,
-                        align_guard=align_guard)
-    checks.append(("cover and cocycle global bounds equal within cap",
-                   gcov.upper_bound == gc0.upper_bound))
+    gc = global_defect("cocycle", normalized, nmax, root=root, hom_guard=hom_guard,
+                       align_guard=align_guard)
+
+    local = cocycle_local_defect(a).value
+    cover = cochain_to_covering(a)
+    checks = [("cover and cocycle local defects equal",
+               cover_local_defect(cover, x).value == local),
+              ("covering round trip is exact",
+               covering_to_cochain(cover, x).values == a.values)]
+    if x.skeleton.vertex_count == 1:
+        checks += [("hom and cocycle local defects equal",
+                    hom_local == local),
+                   ("hom and cocycle global defects equal within cap",
+                    gh.upper_bound == gc.upper_bound)]
+    # the edit search has P(N, n)^V leaves, the alignment count the cocycle
+    # search tests, so it refuses exactly when the witness was not aligned
+    witness_cover = cochain_to_covering(gc.witness)
+    checks += [("normalized restriction matches the cocycle defect",
+                hom_local == cocycle_local_defect(normalized).value),
+               ("hom global bound dominates the cocycle bound",
+                gh.upper_bound >= gc.upper_bound),
+               ("cover and cocycle global bounds equal within cap",
+                edit_distance(cover.labeled, witness_cover.labeled,
+                              leaf_guard=align_guard).value == gc.upper_bound)]
     return checks
 
 
@@ -391,18 +391,24 @@ def cmd_generate(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--root", type=int, default=1)
-    p.add_argument("--tree", help="comma-separated spanning tree edge ids")
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--weights", help="weights file (mu2 for complexes, mu for rows/relators)")
-    p.add_argument("--no-heuristic", action="store_true",
-                   help="fail with exit 2 instead of returning flagged bounds")
-    p.add_argument("--guard-hom", type=int, default=10 ** 8)
-    p.add_argument("--guard-align", type=int, default=10 ** 6)
-    p.add_argument("--guard-enum", type=int, default=10 ** 6)
+_FLAGS = {
+    "--format": dict(choices=("text", "csv", "json"), default="text"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--root": dict(type=int, default=1),
+    "--tree": dict(help="comma-separated spanning tree edge ids"),
+    "--nmax": dict(type=int, default=None),
+    "--weights": dict(help="weights file (mu2 for complexes, mu for rows/relators)"),
+    "--no-heuristic": dict(action="store_true",
+                           help="fail with exit 2 instead of returning flagged bounds"),
+    "--guard-hom": dict(type=int, default=DEFAULT_HOM_GUARD),
+    "--guard-align": dict(type=int, default=DEFAULT_ALIGNMENT_GUARD),
+    "--guard-enum": dict(type=int, default=DEFAULT_ENUM_GUARD),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate an instance file")
     p.add_argument("--input", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("defect", help="exact local or global defect")
@@ -420,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("hom", "cocycle", "cover", "cover-dm", "matrix"))
     p.add_argument("--input", required=True)
     p.add_argument("--complex", help="complex file (for cover kinds)")
-    _add_common(p)
+    _add_common(p, "--format", "--root", "--tree", "--nmax", "--weights",
+                "--no-heuristic", "--guard-hom", "--guard-align")
     p.set_defaults(func=cmd_defect)
 
     p = sub.add_parser("test", help="seeded Monte Carlo tester run")
@@ -430,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--linf", action="store_true")
-    _add_common(p)
+    _add_common(p, "--format", "--seed", "--weights")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("convert", help="translate between the three pictures")
@@ -439,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--complex")
     p.add_argument("--output", required=True)
-    _add_common(p)
+    _add_common(p, "--root", "--tree")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("cheeger", help="expansion constants")
@@ -448,23 +454,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="classical",
                    choices=("classical", "cocycle", "coboundary"))
     p.add_argument("--coeff-cap", type=int, default=2)
-    _add_common(p)
+    _add_common(p, "--format", "--no-heuristic", "--guard-hom", "--guard-align",
+                "--guard-enum")
     p.set_defaults(func=cmd_cheeger)
 
     p = sub.add_parser("spectral", help="normalized spectral gap")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_common(p, "--format")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("h1check", help="first cohomology vanishing up to a degree cap")
     p.add_argument("--input", required=True)
     p.add_argument("--ncap", type=int, default=3)
-    _add_common(p)
+    _add_common(p, "--root", "--tree", "--guard-hom")
     p.set_defaults(func=cmd_h1check)
 
     p = sub.add_parser("weights", help="edge distribution induced by a polygon distribution")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_common(p, "--format", "--weights")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("profile", help="local vs global defect table on corrupted instances")
@@ -473,12 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="0,0.1,0.25")
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--output")
-    _add_common(p)
+    _add_common(p, "--seed", "--root", "--nmax", "--no-heuristic", "--guard-hom",
+                "--guard-align")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("equiv", help="run the translation identity checks on an instance")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_common(p, "--root", "--nmax", "--guard-hom", "--guard-align")
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("generate", help="write bundled instance families")
@@ -487,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "balanced-cut", "remark64", "random"))
     p.add_argument("--params", help="JSON parameter object")
     p.add_argument("--output-dir", default=".")
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(func=cmd_generate)
 
     return top

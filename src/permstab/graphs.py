@@ -309,10 +309,12 @@ def tree_paths_to_root(g: Graph, tree: Iterable[int], root: int) -> tuple[tuple[
 # edit distance between labeled graphs
 
 
+DEFAULT_EDIT_GUARD = 10 ** 6
+
+
 @dataclass(frozen=True)
 class EditDistanceResult:
     value: Fraction
-    exact: bool  # False: greedy alignment only, value is an upper bound
 
 
 def _edge_groups(lg: LabeledGraph) -> dict[int, list[tuple[int, int]]]:
@@ -339,7 +341,7 @@ def _fibers(lg: LabeledGraph) -> list[list[int]]:
 
 
 def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
-                  leaf_guard: int = 10 ** 6) -> EditDistanceResult:
+                  leaf_guard: int = DEFAULT_EDIT_GUARD) -> EditDistanceResult:
     """Normalized edit distance 1 - |E(A)| / max(|E(a)|, |E(b)|).
 
     A is a largest common labeled subgraph, found by aligning the two fibers
@@ -348,18 +350,17 @@ def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
     injection per vertex is enough: edges are what the distance counts, and
     extending a partial vertex matching never loses a matched edge.
 
-    Exact mode runs a branch-and-bound over per-vertex injections and refuses
-    inputs whose alignment search space exceeds ``leaf_guard`` leaves.
-    Heuristic mode aligns greedily vertex by vertex and returns an upper bound
-    on the distance, flagged with ``exact=False``.
+    The search is a branch-and-bound over per-vertex injections; it refuses
+    inputs whose alignment search space exceeds ``leaf_guard`` leaves.  The
+    only ``mode`` is ``"exact"``.
     """
     if a.base != b.base:
         raise ValueError("labeled graphs live over different base graphs")
-    if mode not in ("exact", "heuristic"):
+    if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     denom = max(len(a.graph.edges), len(b.graph.edges))
     if denom == 0:
-        return EditDistanceResult(Fraction(0), True)
+        return EditDistanceResult(Fraction(0))
 
     base = a.base
     fib_a, fib_b = _fibers(a), _fibers(b)
@@ -391,26 +392,11 @@ def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
         lo, hi = min(fa, fb), max(fa, fb)
         for i in range(hi - lo + 1, hi + 1):
             leaves *= i
-        if leaves > leaf_guard and mode == "exact":
+        if leaves > leaf_guard:
             raise GuardExceeded(
-                f"edit distance alignment space exceeds {leaf_guard} leaves; "
-                f"use heuristic mode or raise the guard")
+                f"edit distance alignment space exceeds {leaf_guard} leaves; raise the guard")
 
     order = list(range(1, base.vertex_count + 1))
-
-    if mode == "heuristic":
-        pairing: dict[int, int] = {}
-        matched = 0
-        for x in order:
-            best_gain, best_inj = -1, None
-            for inj in injections(x):
-                trial = {**pairing, **inj}
-                gain = sum(count_matches(e, trial) for e in decide_at[x - 1])
-                if gain > best_gain:
-                    best_gain, best_inj = gain, inj
-            pairing.update(best_inj or {})
-            matched += max(best_gain, 0)
-        return EditDistanceResult(Fraction(denom - matched, denom), False)
 
     remaining_caps = [0] * (base.vertex_count + 1)
     for x in range(base.vertex_count - 1, -1, -1):
@@ -434,4 +420,4 @@ def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
             search(idx + 1, trial, total)
 
     search(0, {}, 0)
-    return EditDistanceResult(Fraction(denom - best, denom), True)
+    return EditDistanceResult(Fraction(denom - best, denom))

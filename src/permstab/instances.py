@@ -30,10 +30,6 @@ def complete_graph(d: int) -> Graph:
     return Graph(d, tuple(edges))
 
 
-def bouquet_graph(loops: int) -> Graph:
-    return Graph(1, tuple((1, 1) for _ in range(loops)))
-
-
 def petersen_graph() -> Graph:
     outer = [(i, i % 5 + 1) for i in range(1, 6)]
     spokes = [(i, i + 5) for i in range(1, 6)]
@@ -69,10 +65,6 @@ def bouquet_complex(relators: Sequence[Sequence[int]], generators: int | None = 
 
 def bouquet_a3() -> PolygonalComplex:
     return bouquet_complex([[1, 1, 1]])
-
-
-def bouquet_a2() -> PolygonalComplex:
-    return bouquet_complex([[1, 1]])
 
 
 def torus_complex() -> PolygonalComplex:

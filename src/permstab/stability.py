@@ -35,6 +35,7 @@ from .cochains import (Cochain0, Cochain1, act0on1, alignment_guard_refuses,
 from .complexes import (FundamentalPresentation, PolygonalComplex,
                         Presentation, fundamental_presentation)
 from .errors import GuardExceeded
+from .graphs import DEFAULT_EDIT_GUARD  # noqa: F401  (re-exported)
 from .graphs import Graph, components, is_connected, vertex_stars
 from .perm import (Permutation, all_permutations,
                    hamming_distance_with_errors, random_permutation)
@@ -42,7 +43,6 @@ from .testers import GENERATOR_ID, hom_local_defect
 
 DEFAULT_HOM_GUARD = 10 ** 8
 DEFAULT_ALIGNMENT_GUARD = 10 ** 6
-DEFAULT_EDIT_GUARD = 10 ** 6
 DEFAULT_ENUM_GUARD = 10 ** 6
 
 
@@ -188,53 +188,55 @@ def _conjugates(a: Cochain1) -> set[tuple[tuple[int, ...], ...]]:
     return seen
 
 
-def _floor_rules_out(best: Fraction | None, n: int, degree: int) -> bool:
-    """Whether no degree-``degree`` target can beat ``best`` for a degree-n input.
+def _search(n: int, n_max: int, candidates_per_degree, refused, measure
+            ) -> tuple[Fraction, object, bool, tuple[int, ...]]:
+    """Minimize a distance over the candidates of every degree in [n, n_max].
 
-    Such a target agrees on at most n of ``degree`` points per edge or
-    generator, so it lies at distance at least 1 - n/degree; a tie keeps the
-    first minimum, so skipping the degree leaves bound and witness unchanged.
+    ``candidates_per_degree(N)`` lists the degree-N candidates, raising
+    GuardExceeded exactly when ``refused(N)``; ``measure(candidates)`` yields
+    ``(distance, witness, exact)`` for the candidates it measures.  Returns the
+    bound, its witness, whether every degree was searched exactly, and the
+    degrees skipped by the 1 - n/N floor of the module docstring; a skipped
+    degree that a guard would have refused still clears ``exact``.  The
+    search stops at a zero distance, which no degree can improve on.
     """
-    return best is not None and best <= 1 - Fraction(n, degree)
-
-
-def _distance_to_candidates(alpha: Cochain1, candidates_per_degree, n_max: int,
-                            align_guard: int, candidates_refused=lambda degree: False
-                            ) -> tuple[Fraction | None, Cochain1 | None, bool, tuple[int, ...]]:
-    """Minimize d(alpha, beta.candidate) over degrees, candidates, relabelings.
-
-    ``candidates_per_degree(N)`` yields tree-trivial candidate cochains of
-    degree N (raising GuardExceeded when it cannot enumerate, exactly when
-    ``candidates_refused(N)``).  The relabeling minimum is exact via
-    orbit_distance; when its guard trips we fall back to the identity
-    alignment and flag the result heuristic.  Returns the bound, witness,
-    exactness and the degrees skipped by the 1 - n/N floor; a skipped degree
-    is flagged heuristic when a guard would have refused it.
-
-    A conjugate g^-1 cand g is cand acted on by the constant 0-cochain g, so
-    it has the same orbit and the same orbit distance.  Once a candidate is
-    measured exactly its whole conjugacy class is skipped: a later conjugate
-    could only tie, and ties keep the first minimum, so bound, label and
-    witness are unchanged.  A candidate that fell back to the identity
-    alignment covers nothing, because that distance is not orbit-invariant.
-    """
-    best: Fraction | None = None
-    best_witness: Cochain1 | None = None
+    best = best_witness = None
     exact = True
     skipped: list[int] = []
-    n, vertices = alpha.degree, skeleton_of(alpha.space).vertex_count
     for degree in range(n, n_max + 1):
-        if _floor_rules_out(best, n, degree):
+        if best is not None and best <= 1 - Fraction(n, degree):
             skipped.append(degree)
-            if candidates_refused(degree) or \
-                    alignment_guard_refuses(vertices, n, degree, align_guard):
-                exact = False
+            exact = exact and not refused(degree)
             continue
         try:
             candidates = candidates_per_degree(degree)
         except GuardExceeded:
             exact = False
             continue
+        for d, witness, d_exact in measure(candidates):
+            exact = exact and d_exact
+            if best is None or d < best:
+                best, best_witness = d, witness
+                if best == 0:
+                    return best, best_witness, exact, tuple(skipped)
+    if best is None:
+        raise GuardExceeded("no degree could be searched; raise the guards")
+    return best, best_witness, exact, tuple(skipped)
+
+
+def _orbit_measure(alpha: Cochain1, align_guard: int):
+    """Distances from alpha to the relabeling orbits of candidate cochains.
+
+    The relabeling minimum is exact via orbit_distance; when its guard trips
+    the candidate is measured at the identity alignment and flagged inexact.
+    A conjugate g^-1 cand g is cand acted on by the constant 0-cochain g, so
+    it has the same orbit and the same orbit distance.  Once a candidate is
+    measured exactly its whole conjugacy class is skipped: a later conjugate
+    could only tie, and ties keep the first minimum.  A candidate measured at
+    the identity alignment covers nothing, because that distance is not
+    orbit-invariant.
+    """
+    def measure(candidates: Iterable[Cochain1]):
         covered: set[tuple[tuple[int, ...], ...]] = set()
         for cand in candidates:
             if tuple(q.images for q in cand.values) in covered:
@@ -242,16 +244,11 @@ def _distance_to_candidates(alpha: Cochain1, candidates_per_degree, n_max: int,
             try:
                 res = orbit_distance(alpha, cand, guard=align_guard)
             except GuardExceeded:
-                exact = False
-                d, wit = cochain_distance(alpha, cand), cand
+                yield cochain_distance(alpha, cand), cand, False
             else:
-                d, wit = res.value, res.witness
                 covered |= _conjugates(cand)
-            if best is None or d < best:
-                best, best_witness = d, wit
-                if best == 0:
-                    return best, best_witness, exact, tuple(skipped)
-    return best, best_witness, exact, tuple(skipped)
+                yield res.value, res.witness, True
+    return measure
 
 
 def global_defect(kind: str, obj, n_max: int | None = None, *,
@@ -264,7 +261,8 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
     floor 1 - n/N that every degree-N target obeys; the result lists those
     degrees in ``degrees_skipped``.  Bound and witness equal those of the full
     search, and the label keeps its meaning: a skipped degree that a guard
-    would have refused still makes the result ``heuristic``.
+    would have refused still makes the result ``heuristic``.  Every kind stops
+    at a zero bound, which no degree can improve on.
 
     * ``hom``:    obj = (Presentation, images); minimizes the generator-average
       distance over every homomorphism of every degree in [n, n_max].
@@ -277,7 +275,8 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
       orbit, so only the first candidate of each conjugacy class is aligned.
     * ``cover``:  obj = (Covering, PolygonalComplex); runs the cocycle search
       on the encoding cochain and returns the witness as a covering.  The
-      bound is the edit distance to that covering (checked in the tests).
+      bound is the edit distance to that covering (checked by the tests and
+      by ``permstab equiv``).
     """
     if kind == "hom":
         p, images = obj
@@ -285,62 +284,41 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
             raise ValueError("generator images must share one degree")
         n = images[0].degree
         cap = n + 2 if n_max is None else n_max
-        best = best_wit = None
-        exact = True
-        skipped = []
-        for degree in range(n, cap + 1):
-            if _floor_rules_out(best, n, degree):
-                skipped.append(degree)
-                if _hom_guard_refuses(p.generator_count, degree, hom_guard):
-                    exact = False
-                continue
-            try:
-                homs = enumerate_homomorphisms(p, degree, guard=hom_guard)
-            except GuardExceeded:
-                exact = False
-                continue
-            for phi in homs:
-                d = _images_distance(images, phi)
-                if best is None or d < best:
-                    best, best_wit = d, phi
-        if best is None:
-            raise GuardExceeded("no degree could be searched; raise hom_guard")
-        return GlobalDefectResult("hom", best, best_wit, cap,
-                                  "exact-within-cap" if exact else "heuristic",
-                                  tuple(skipped))
-
-    if kind == "cocycle":
+        best, wit, exact, skipped = _search(
+            n, cap, lambda degree: enumerate_homomorphisms(p, degree, guard=hom_guard),
+            lambda degree: _hom_guard_refuses(p.generator_count, degree, hom_guard),
+            lambda homs: ((_images_distance(images, phi), phi, True) for phi in homs))
+    elif kind == "cocycle":
         alpha: Cochain1 = obj
         x = alpha.space
         if not isinstance(x, PolygonalComplex):
             raise ValueError("cocycle global defect needs a polygonal complex")
-        cap = alpha.degree + 2 if n_max is None else n_max
+        n, vertices = alpha.degree, x.skeleton.vertex_count
+        cap = n + 2 if n_max is None else n_max
         fp = fundamental_presentation(x, root, tree)
 
-        def candidates(degree: int):
+        def candidates(degree: int) -> list[Cochain1]:
             homs = enumerate_homomorphisms(fp.presentation, degree, guard=hom_guard)
             return [_tree_trivial_cochain(x, fp, f, degree) for f in homs]
 
-        best, wit, exact, skipped = _distance_to_candidates(
-            alpha, candidates, cap, align_guard,
-            lambda degree: _hom_guard_refuses(fp.presentation.generator_count, degree,
-                                              hom_guard))
-        if best is None:
-            raise GuardExceeded("no degree could be searched; raise the guards")
-        return GlobalDefectResult("cocycle", best, wit, cap,
-                                  "exact-within-cap" if exact else "heuristic", skipped)
+        def refused(degree: int) -> bool:
+            return (_hom_guard_refuses(fp.presentation.generator_count, degree, hom_guard)
+                    or alignment_guard_refuses(vertices, n, degree, align_guard))
 
-    if kind == "cover":
+        best, wit, exact, skipped = _search(n, cap, candidates, refused,
+                                            _orbit_measure(alpha, align_guard))
+    elif kind == "cover":
         c, x = obj
-        alpha = covering_to_cochain(c, x)
-        inner = global_defect("cocycle", alpha, n_max, root=root, tree=tree,
-                              hom_guard=hom_guard, align_guard=align_guard)
+        inner = global_defect("cocycle", covering_to_cochain(c, x), n_max, root=root,
+                              tree=tree, hom_guard=hom_guard, align_guard=align_guard)
         return GlobalDefectResult("cover", inner.upper_bound,
                                   cochain_to_covering(inner.witness),
                                   inner.n_max_searched, inner.exactness,
                                   inner.degrees_skipped)
-
-    raise ValueError(f"unknown global defect kind {kind!r}")
+    else:
+        raise ValueError(f"unknown global defect kind {kind!r}")
+    return GlobalDefectResult(kind, best, wit, cap,
+                              "exact-within-cap" if exact else "heuristic", skipped)
 
 
 def distance_to_coboundaries(alpha: Cochain1, n_max: int | None = None,
@@ -351,10 +329,12 @@ def distance_to_coboundaries(alpha: Cochain1, n_max: int | None = None,
     Coboundaries of degree N are exactly the relabelings of the identity
     cochain, so this is one orbit-distance call per degree.
     """
-    cap = alpha.degree + 2 if n_max is None else n_max
-    best, wit, exact, _ = _distance_to_candidates(
-        alpha, lambda d: [identity_cochain1(alpha.space, d)], cap, align_guard)
-    assert best is not None
+    n, vertices = alpha.degree, skeleton_of(alpha.space).vertex_count
+    cap = n + 2 if n_max is None else n_max
+    best, wit, exact, _ = _search(
+        n, cap, lambda degree: [identity_cochain1(alpha.space, degree)],
+        lambda degree: alignment_guard_refuses(vertices, n, degree, align_guard),
+        _orbit_measure(alpha, align_guard))
     return best, wit, exact
 
 
@@ -565,8 +545,9 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
                 if variant == "cocycle":
                     if num == 0:
                         continue
-                    den, _, den_exact = _cocycle_distance(a, degree + 2, hom_guard,
-                                                          align_guard)
+                    res = global_defect("cocycle", a, degree + 2, hom_guard=hom_guard,
+                                        align_guard=align_guard)
+                    den, den_exact = res.upper_bound, res.exactness == "exact-within-cap"
                 else:
                     if is_coboundary(a)[0]:
                         continue
@@ -579,13 +560,6 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
         raise ValueError("no admissible cochain; the constant is an empty infimum")
     return CheegerReport(dimension, variant, coeff_cap, best, best_witness,
                          "exact-within-cap" if exact else "heuristic")
-
-
-def _cocycle_distance(alpha: Cochain1, cap: int, hom_guard: int,
-                      align_guard: int) -> tuple[Fraction, Cochain1, bool]:
-    res = global_defect("cocycle", alpha, cap, hom_guard=hom_guard,
-                        align_guard=align_guard)
-    return res.upper_bound, res.witness, res.exactness == "exact-within-cap"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -8,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permstab import fileio, instances
-from permstab.cli import main
+from permstab import fileio, instances, stability
+from permstab.cli import build_parser, main
 from permstab.cochains import (Cochain1, cochain_to_covering, identity_cochain1,
                                images_to_cochain)
 from permstab.perm import Permutation
@@ -270,6 +271,97 @@ def test_guard_without_fallback_exits_2(tmp_path, capsys):
                        "--guard-hom", "10")
     assert code == 2
     assert err.startswith("guard exceeded:")
+
+
+ONE_VERTEX_EQUIV = """\
+PASS  cover and cocycle local defects equal
+PASS  covering round trip is exact
+PASS  hom and cocycle local defects equal
+PASS  hom and cocycle global defects equal within cap
+PASS  normalized restriction matches the cocycle defect
+PASS  hom global bound dominates the cocycle bound
+PASS  cover and cocycle global bounds equal within cap
+"""
+MANY_VERTEX_EQUIV = """\
+PASS  cover and cocycle local defects equal
+PASS  covering round trip is exact
+PASS  normalized restriction matches the cocycle defect
+PASS  hom global bound dominates the cocycle bound
+PASS  cover and cocycle global bounds equal within cap
+"""
+
+
+def _write_equiv_inputs(tmp_path):
+    def save(x, rows, name):
+        a = Cochain1(x, len(rows[0]), tuple(Permutation(r) for r in rows))
+        fileio.save_json(fileio.cochain1_to_dict(a), tmp_path / name)
+        return str(tmp_path / name)
+
+    torus = save(instances.torus_complex(), [[1, 3, 2], [2, 1, 3]], "torus-3.json")
+    c4 = save(instances.complete_complex(4),
+              [[1, 2, 3], [1, 2, 3], [1, 2, 3], [3, 2, 1], [1, 2, 3], [2, 3, 1]], "c4-3.json")
+    cut = str(write_cut_bundle(tmp_path))
+    assert main(["generate", "--family", "random",
+                 "--params", '{"d":4,"n":2,"target":"1/4","tol":"1/4"}',
+                 "--seed", "8", "--output-dir", str(tmp_path)]) == 0
+    return torus, c4, cut, str(tmp_path / "random-cochain.json")
+
+
+def test_equiv_output_is_golden(tmp_path, capsys):
+    # stdout and exit code as recorded before equiv ran each search once
+    torus, c4, cut, random_ = _write_equiv_inputs(tmp_path)
+    capsys.readouterr()
+    for argv, expected in ((("--input", torus, "--nmax", "4"), ONE_VERTEX_EQUIV),
+                           (("--input", cut, "--nmax", "3"), MANY_VERTEX_EQUIV),
+                           (("--input", random_, "--nmax", "4"), MANY_VERTEX_EQUIV),
+                           (("--input", c4, "--nmax", "4"), MANY_VERTEX_EQUIV),
+                           (("--input", c4), MANY_VERTEX_EQUIV),
+                           # degree 4 falls back to the identity alignment, but
+                           # the witness is aligned at degree 3
+                           (("--input", c4, "--nmax", "4", "--guard-align", "100000"),
+                            MANY_VERTEX_EQUIV)):
+        code, out, err = run(capsys, "equiv", *argv)
+        assert (code, out, err) == (0, expected, ""), argv
+
+
+def test_equiv_exits_2_when_the_witness_is_not_aligned(tmp_path, capsys):
+    # with --guard-align 1 every candidate is measured at the identity
+    # alignment, so the cover check's edit search refuses too
+    torus, *_ = _write_equiv_inputs(tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, "equiv", "--input", torus, "--nmax", "4",
+                         "--guard-align", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("guard exceeded:")
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    top = build_parser()
+    subparsers = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in subparsers.choices.items()}
+    guards = {"--guard-hom", "--guard-align"}
+    assert options == {
+        "validate": {"--input"},
+        "defect": {"--kind", "--input", "--complex", "--format", "--root", "--tree",
+                   "--nmax", "--weights", "--no-heuristic", *guards},
+        "test": {"--kind", "--input", "--complex", "--trials", "--linf", "--format",
+                 "--seed", "--weights"},
+        "convert": {"--to", "--input", "--complex", "--output", "--root", "--tree"},
+        "cheeger": {"--input", "--dimension", "--variant", "--coeff-cap", "--format",
+                    "--no-heuristic", "--guard-enum", *guards},
+        "spectral": {"--input", "--format"},
+        "h1check": {"--input", "--ncap", "--root", "--tree", "--guard-hom"},
+        "weights": {"--input", "--format", "--weights"},
+        "profile": {"--input", "--n", "--grid", "--samples", "--output", "--seed",
+                    "--root", "--nmax", "--no-heuristic", *guards},
+        "equiv": {"--input", "--root", "--nmax", *guards},
+        "generate": {"--family", "--params", "--output-dir", "--seed"},
+    }
+    defaults = {p.get_default(dest) for p in subparsers.choices.values()
+                for dest in ("guard_hom", "guard_align", "guard_enum")} - {None}
+    assert defaults == {stability.DEFAULT_HOM_GUARD, stability.DEFAULT_ALIGNMENT_GUARD,
+                        stability.DEFAULT_ENUM_GUARD}
 
 
 def test_covering_with_shared_lift_terminus_is_rejected(tmp_path, capsys):

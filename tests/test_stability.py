@@ -284,6 +284,8 @@ def _hom_every_degree(p, images, cap, hom_guard):
                     Fraction(0)) / len(images)
             if best is None or d < best:
                 best, witness = d, h
+        if best == 0:   # global_defect stops at a zero distance
+            break
     return best, "exact-within-cap" if exact else "heuristic", witness
 
 
@@ -297,10 +299,20 @@ def test_hom_degree_floor_keeps_bound_label_and_witness():
             bound, label, witness = _hom_every_degree(p, images, cap, hom_guard)
             res = global_defect("hom", (p, images), cap, hom_guard=hom_guard)
             assert (res.upper_bound, res.exactness, res.witness) == (bound, label, witness)
-            assert res.degrees_skipped == _floor_skips(n, cap, bound, witness[0].degree)
+            assert res.degrees_skipped == (() if bound == 0 else
+                                           _floor_skips(n, cap, bound, witness[0].degree))
             fired += bool(res.degrees_skipped)
             refused += bool(res.degrees_skipped) and res.exactness == "heuristic"
     assert fired and refused
+
+
+def test_hom_stops_at_a_zero_bound():
+    # no degree beats 0, so the guard that refuses degrees 4 and 5 (4! > 30)
+    # leaves the label exact and nothing is skipped
+    res = global_defect("hom", (A3, (Permutation([1, 2, 3]),)), 5, hom_guard=30)
+    assert res.upper_bound == 0 and res.witness == (Permutation([1, 2, 3]),)
+    assert res.exactness == "exact-within-cap"
+    assert res.degrees_skipped == ()
 
 
 @settings(max_examples=40, deadline=None)
