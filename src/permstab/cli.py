@@ -26,11 +26,9 @@ from . import fileio, instances
 from .cochains import (Cochain1, cochain_to_covering, covering_to_cochain,
                        skeleton_of, tree_normalize)
 from .complexes import (PolygonalComplex, fundamental_presentation,
-                        polygon_weights, presentation_complex,
-                        validate_complex)
+                        polygon_weights, presentation_complex)
 from .errors import GuardExceeded
-from .graphs import (Covering, Graph, edit_distance, validate_graph,
-                     validate_map)
+from .graphs import Covering, edit_distance
 from .stability import (DEFAULT_ALIGNMENT_GUARD, DEFAULT_ENUM_GUARD,
                         DEFAULT_HOM_GUARD, cheeger, global_defect,
                         h1_vanishing_check, spectral_gap, stability_profile)
@@ -65,14 +63,17 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _load_weights(path: str | None, x: PolygonalComplex | None):
+    """A mu2 file over the complex x, or else a mu file over relators or rows."""
     if path is None:
         return None
     d = fileio.load_json(path)
-    if "mu2" in d:
-        if x is None:
-            raise ValueError("mu2 weights need a complex input")
+    if not isinstance(d, dict):
+        raise ValueError("a weights file must hold a JSON object")
+    if x is not None:
         return fileio.weights_from_dict(d, x)
-    return [fileio.frac_from_str(v) for v in d["mu"]]
+    if "mu2" in d:
+        raise ValueError("mu2 weights need a complex input")
+    return fileio._frac_list(d["mu"], "mu")
 
 
 def _parse_tree(arg: str | None) -> frozenset[int] | None:
@@ -121,25 +122,11 @@ def _defect_object(args) -> tuple[str, object, object]:
 
 
 def cmd_validate(args) -> int:
+    """Every loader checks its file, so validating a file is loading it."""
     try:
-        kind, obj = fileio.load_object(args.input)
+        kind, _ = fileio.load_object(args.input)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"invalid: {exc}")
-        return 1
-    if kind == "graph":
-        rep = validate_graph(obj)
-    elif kind == "complex":
-        rep = validate_complex(obj)
-    elif kind == "labeled_graph":
-        rep = validate_map(obj.labeling)
-    else:
-        rep = validate_graph(skeleton_of(obj.space)) if isinstance(obj, Cochain1) \
-            else validate_graph(obj) if isinstance(obj, Graph) else None
-        if rep is None:
-            print(f"ok: {kind}")
-            return 0
-    if rep is not None and not rep.ok:
-        print(f"invalid {kind}: {rep.message}")
         return 1
     print(f"ok: {kind}")
     return 0
@@ -248,11 +235,8 @@ def cmd_h1check(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    _, x = fileio.load_object(args.input)
-    if args.weights is not None:
-        ws = _load_weights(args.weights, x)
-    else:
-        ws = polygon_weights(x)
+    x = _load_kind(args.input, "complex")
+    ws = polygon_weights(x) if args.weights is None else _load_weights(args.weights, x)
     if args.format == "json":
         print(json.dumps({"mu1": [fileio.frac_to_str(v) for v in ws.mu1],
                           "expected_length": fileio.frac_to_str(ws.expected_length)},
@@ -471,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="edge distribution induced by a polygon distribution")
     p.add_argument("--input", required=True)
-    _add_common(p, "--format", "--weights")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_common(p, "--weights")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("profile", help="local vs global defect table on corrupted instances")

@@ -15,7 +15,8 @@ from typing import Sequence
 
 from . import perm
 from .graphs import (Graph, ValidationReport, check_path, is_connected,
-                     is_cyclically_reduced, path_is_closed, spanning_tree)
+                     is_cyclically_reduced, path_is_closed, spanning_tree,
+                     validate_graph)
 
 def _signed_key(s: int) -> tuple[int, int]:
     return (abs(s), 1 if s > 0 else 0)
@@ -72,8 +73,6 @@ class PolygonalComplex:
 
 
 def validate_complex(x: PolygonalComplex) -> ValidationReport:
-    from .graphs import validate_graph
-
     rep = validate_graph(x.skeleton)
     if not rep.ok:
         return rep
@@ -81,14 +80,9 @@ def validate_complex(x: PolygonalComplex) -> ValidationReport:
     for idx, pc in enumerate(x.polygons):
         label = f"polygon {idx}"
         try:
-            check_path(x.skeleton, pc.rep)
+            orbit = polygon_orbit(x.skeleton, pc.rep)
         except ValueError as exc:
             return ValidationReport(False, f"{label}: {exc}")
-        if not path_is_closed(x.skeleton, pc.rep):
-            return ValidationReport(False, f"{label}: not closed")
-        if not is_cyclically_reduced(x.skeleton, pc.rep):
-            return ValidationReport(False, f"{label}: not cyclically reduced")
-        orbit = polygon_orbit(x.skeleton, pc.rep)
         if orbit.orientations != pc.orientations:
             return ValidationReport(False, f"{label}: orientation set not closed under shift/inverse")
         if orbit.canonical != pc.canonical:

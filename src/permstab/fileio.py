@@ -4,7 +4,8 @@ All structures serialize to plain JSON; exact rationals are written as
 "p/q" strings.  A cochain file may reference its complex either inline or as
 a relative path.  Every integer field is read strictly: a bool or a float
 (2.0 included) is refused with a ValueError naming the field, never
-truncated.
+truncated.  Every loader checks what it loads (a graph through
+``validate_graph``), so loading a file is validating it.
 """
 
 from __future__ import annotations
@@ -27,10 +28,17 @@ def frac_to_str(f: Fraction) -> str:
 
 
 def frac_from_str(s: str | int | float) -> Fraction:
-    if isinstance(s, str) and "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(s)
+    """A rational field: a number or a "p/q" string; null, a bool, a list, a
+    zero denominator or an infinity raise ValueError."""
+    if type(s) not in (str, int, float):
+        raise ValueError(f"a rational must be a number or a \"p/q\" string, got {s!r}")
+    try:
+        if isinstance(s, str) and "/" in s:
+            num, den = s.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(s)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{s!r} is not a finite rational") from exc
 
 
 def _int(value: Any, field: str, *args: int) -> int:
@@ -53,6 +61,13 @@ def _int_list(value: Any, field: str, *args: int) -> list[int]:
     return value
 
 
+def _frac_list(value: Any, field: str) -> list[Fraction]:
+    """A list of rationals, each read by ``frac_from_str``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list of rationals, got {value!r}")
+    return [frac_from_str(v) for v in value]
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
@@ -68,9 +83,13 @@ def graph_from_dict(d: dict[str, Any]) -> Graph:
     for k, rec in enumerate(records, start=1):
         if rec["id"] != k:
             raise ValueError(f"edge ids must be 1..{len(records)} without gaps")
-    return Graph(_int(d["vertices"], "vertices"),
-                 tuple((_int(r["from"], "edge %d from", k), _int(r["to"], "edge %d to", k))
-                       for k, r in enumerate(records, start=1)))
+    g = Graph(_int(d["vertices"], "vertices"),
+              tuple((_int(r["from"], "edge %d from", k), _int(r["to"], "edge %d to", k))
+                    for k, r in enumerate(records, start=1)))
+    rep = validate_graph(g)
+    if not rep.ok:
+        raise ValueError(f"invalid graph: {rep.message}")
+    return g
 
 
 def labeled_graph_to_dict(lg: LabeledGraph) -> dict[str, Any]:
@@ -84,10 +103,6 @@ def labeled_graph_to_dict(lg: LabeledGraph) -> dict[str, Any]:
 def labeled_graph_from_dict(d: dict[str, Any]) -> LabeledGraph:
     g = graph_from_dict(d)
     base = graph_from_dict(d["base"])
-    for which, graph in (("graph", g), ("base graph", base)):
-        rep = validate_graph(graph)
-        if not rep.ok:
-            raise ValueError(f"invalid {which}: {rep.message}")
     labeling = CombinatorialMap(g, base, tuple(_int_list(d["vertex_map"], "vertex_map")),
                                 tuple(_int_list(d["edge_map"], "edge_map")))
     rep = validate_map(labeling)
@@ -133,13 +148,10 @@ def complex_to_dict(x: PolygonalComplex) -> dict[str, Any]:
 def complex_from_dict(d: dict[str, Any]) -> PolygonalComplex:
     """Load a complex, refusing what ``validate_complex`` refuses.
 
-    ``polygon_orbit`` already checks each polygon, so only the skeleton and
-    repeated polygons are left to check here.
+    ``graph_from_dict`` checks the skeleton and ``polygon_orbit`` each
+    polygon, so only repeated polygons are left to check here.
     """
     g = graph_from_dict(d)
-    rep = validate_graph(g)
-    if not rep.ok:
-        raise ValueError(f"invalid complex: {rep.message}")
     polys = tuple(polygon_orbit(g, tuple(_int_list(p, "polygon %d", i)))
                   for i, p in enumerate(d["polygons"], start=1))
     if len({pc.canonical for pc in polys}) != len(polys):
@@ -159,9 +171,14 @@ def presentation_from_dict(d: dict[str, Any]) -> Presentation:
 
 def hom_instance_from_dict(d: dict[str, Any]) -> tuple[Presentation, tuple[Permutation, ...]]:
     """A presentation with one generator image each: {"presentation", "images"}."""
-    return (presentation_from_dict(d["presentation"]),
-            tuple(Permutation(_int_list(img, "image %d", i))
-                  for i, img in enumerate(d["images"], start=1)))
+    p = presentation_from_dict(d["presentation"])
+    images = tuple(Permutation(_int_list(img, "image %d", i))
+                   for i, img in enumerate(d["images"], start=1))
+    if len(images) != p.generator_count:
+        raise ValueError("need one image per generator")
+    if len({q.degree for q in images}) > 1:
+        raise ValueError("values must share one degree")
+    return p, images
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +242,12 @@ def cochain_from_dict(d: dict[str, Any], base_dir: Path | None = None) -> Cochai
 def matrix_from_dict(d: dict[str, Any]):
     rows = [_int_list(row, "row %d", i) for i, row in enumerate(d["rows"], start=1)]
     vector = _int_list(d["vector"], "vector")
-    mu = [frac_from_str(v) for v in d["mu"]] if "mu" in d else None
+    mu = _frac_list(d["mu"], "mu") if "mu" in d else None
     return rows, vector, mu
 
 
 def weights_from_dict(d: dict[str, Any], x: PolygonalComplex):
-    mu2 = [frac_from_str(v) for v in d["mu2"]]
-    return polygon_weights(x, mu2)
+    return polygon_weights(x, _frac_list(d["mu2"], "mu2"))
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ from .perm import cyclic_reduce, free_reduce
 
 @dataclass(frozen=True)
 class Graph:
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]  # edges[k-1] = (origin, terminus) of edge k
+    """Vertices 1..vertex_count and a tuple of int pairs, edges[k-1] = (origin,
+    terminus) of edge k.  Nothing is checked or converted on construction;
+    ``validate_graph`` is the check, and every file loader runs it."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in self.edges]))
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
 
 
 def origin(g: Graph, s: int) -> int:
@@ -62,12 +63,17 @@ def validate_graph(g: Graph) -> ValidationReport:
     """Structural check; reports the first violation instead of raising.
 
     Edge ids are positional, so "ids are 1..m with no gaps" and the reversal
-    involution hold by construction; what can actually go wrong is a dangling
+    involution hold by construction; what can actually go wrong is a vertex
+    count or endpoint that is not an int (a bool included), a dangling
     endpoint or an empty vertex set.
     """
+    if type(g.vertex_count) is not int:
+        return ValidationReport(False, f"vertex count must be an integer, got {g.vertex_count!r}")
     if g.vertex_count < 1:
         return ValidationReport(False, "graph must have at least one vertex")
     for k, (u, v) in enumerate(g.edges, start=1):
+        if type(u) is not int or type(v) is not int:
+            return ValidationReport(False, f"edge {k} endpoints must be integers, got ({u!r},{v!r})")
         if not (1 <= u <= g.vertex_count and 1 <= v <= g.vertex_count):
             return ValidationReport(False, f"dangling endpoint on edge {k}: ({u},{v})")
     return ValidationReport(True)

@@ -198,7 +198,8 @@ def _search(n: int, n_max: int, candidates_per_degree, refused, measure
     bound, its witness, whether every degree was searched exactly, and the
     degrees skipped by the 1 - n/N floor of the module docstring; a skipped
     degree that a guard would have refused still clears ``exact``.  The
-    search stops at a zero distance, which no degree can improve on.
+    search stops at a zero distance, which no degree can improve on, and
+    returns it as exact.
     """
     best = best_witness = None
     exact = True
@@ -217,8 +218,8 @@ def _search(n: int, n_max: int, candidates_per_degree, refused, measure
             exact = exact and d_exact
             if best is None or d < best:
                 best, best_witness = d, witness
-                if best == 0:
-                    return best, best_witness, exact, tuple(skipped)
+                if best == 0:   # exact whatever the guards did: no degree goes below 0
+                    return best, best_witness, True, tuple(skipped)
     if best is None:
         raise GuardExceeded("no degree could be searched; raise the guards")
     return best, best_witness, exact, tuple(skipped)
@@ -262,7 +263,7 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
     degrees in ``degrees_skipped``.  Bound and witness equal those of the full
     search, and the label keeps its meaning: a skipped degree that a guard
     would have refused still makes the result ``heuristic``.  Every kind stops
-    at a zero bound, which no degree can improve on.
+    at a zero bound, which no degree can improve on, and labels it exact.
 
     * ``hom``:    obj = (Presentation, images); minimizes the generator-average
       distance over every homomorphism of every degree in [n, n_max].

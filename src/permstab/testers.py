@@ -31,7 +31,7 @@ from .cochains import (Cochain1, _covering_images, _fold, _images, _mu2,
                        _polygon_tables, _require_polygons, _value_table, _word_rows,
                        cochain_norm)
 from .complexes import (PolygonalComplex, Presentation, WeightingSystem,
-                        uniform_distribution)
+                        _check_distribution, uniform_distribution)
 from .graphs import Covering
 from .perm import Permutation, _integer
 
@@ -65,11 +65,7 @@ class TestOutcome:
 def _check_mu(mu: Sequence[Fraction] | None, size: int, what: str) -> tuple[Fraction, ...]:
     if mu is None:
         return uniform_distribution(size)
-    vec = tuple(Fraction(v) for v in mu)
-    if len(vec) != size:
-        raise ValueError(f"{what} must have length {size}")
-    if any(v < 0 for v in vec) or sum(vec) != 1:
-        raise ValueError(f"{what} must be a probability vector")
+    vec = _check_distribution(mu, size, what)
     if any(v == 0 for v in vec):
         warnings.warn(f"{what} is not fully supported; the tester loses completeness",
                       stacklevel=3)
@@ -117,14 +113,10 @@ def _any_point(tables: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _matrix_tables(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[np.ndarray]:
-    m = [[int(x) for x in row] for row in rows]
-    if any(len(row) != len(v) for row in m):
+    """The hom tester's tables over Sym(2): a row rejects both points or neither."""
+    if any(len(row) != len(v) for row in rows):
         raise ValueError(f"rows must have length {len(v)}")
-    matrix_to_presentation(m)  # validates shape and 0/1 entries
-    vec = [int(x) for x in v]
-    if any(x not in (0, 1) for x in vec):
-        raise ValueError("vector entries must be 0 or 1")
-    return [np.array([[sum(r * x for r, x in zip(row, vec)) % 2 == 1]]) for row in m]
+    return _hom_tables(matrix_to_presentation(rows), vector_to_images(v))
 
 
 def _rate(mu: Sequence[Fraction], tables: list[np.ndarray]) -> Fraction:
@@ -222,8 +214,9 @@ def matrix_tester(rows: Sequence[Sequence[int]], v: Sequence[int],
                   mu: Sequence[Fraction] | None = None) -> DefectReport:
     """Exact rejection probability of the parity-check tester on the vector v.
 
-    Equals the hom local defect of ``matrix_to_presentation(rows)`` at
-    ``vector_to_images(v)`` under the same row distribution.
+    This is the hom local defect of ``matrix_to_presentation(rows)`` at
+    ``vector_to_images(v)`` under the same row distribution: the tables are
+    the hom tester's.
     """
     tables = _matrix_tables(rows, v)
     mu_rows = _check_mu(mu, len(tables), "mu")

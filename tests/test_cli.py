@@ -205,6 +205,15 @@ def test_weights_subcommand(tmp_path, capsys):
     assert "1,1/1" in out and "expected_length=3/1" in out
 
 
+def test_weights_format_has_no_text_value(tmp_path, capsys):
+    fileio.save_json(fileio.complex_to_dict(instances.bouquet_a3()), tmp_path / "b.json")
+    with pytest.raises(SystemExit):
+        main(["weights", "--input", str(tmp_path / "b.json"), "--format", "text"])
+    code, out, _ = run(capsys, "weights", "--input", str(tmp_path / "b.json"),
+                       "--format", "csv")
+    assert code == 0 and out.startswith("edge,mu1\n")
+
+
 def test_profile_subcommand_writes_csv(tmp_path, capsys):
     fileio.save_json(fileio.complex_to_dict(instances.complete_complex(4)),
                      tmp_path / "x.json")
@@ -405,6 +414,9 @@ FUZZ_COCHAIN = fileio.cochain1_to_dict(FUZZ_ALPHA)
 FUZZ_COMPLEX = fileio.complex_to_dict(instances.torus_complex())
 FUZZ_PRESENTATION = {"generators": 2, "relators": [[1, 2, -1, -2], [1, 1]]}
 FUZZ_MATRIX = {"rows": instances.blr_matrix(2), "vector": [1, 0, 1, 1]}
+FUZZ_GRAPH = fileio.graph_to_dict(FUZZ_X.skeleton)
+FUZZ_HOM = {"presentation": FUZZ_PRESENTATION, "images": [[2, 3, 1], [1, 3, 2]]}
+FUZZ_WEIGHTS = {"mu2": ["1/1"]}
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 12),
                  st.floats(-3, 12, allow_nan=False), st.text(max_size=3),
                  st.lists(st.integers(-1, 3), max_size=2),
@@ -458,34 +470,43 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _consume(kind, path, out, cx):
-    """A command that reads a file of this kind beyond validating it."""
-    return {"covering": ["defect", "local", "--kind", "cover", "--input", path,
-                         "--complex", cx],
-            "cochain": ["defect", "local", "--kind", "cocycle", "--input", path],
-            "complex": ["convert", "--to", "presentation", "--input", path, "--output", out],
-            "presentation": ["convert", "--to", "complex", "--input", path, "--output", out],
-            "matrix": ["defect", "local", "--kind", "matrix", "--input", path]}[kind]
+def _consumers(kind, path, out, cx):
+    """The commands that read a file of this kind beyond validating it."""
+    return {"covering": [["defect", "local", "--kind", "cover", "--input", path,
+                          "--complex", cx]],
+            "cochain": [["defect", "local", "--kind", "cocycle", "--input", path]],
+            "complex": [["convert", "--to", "presentation", "--input", path, "--output", out]],
+            "presentation": [["convert", "--to", "complex", "--input", path, "--output", out]],
+            "matrix": [["defect", "local", "--kind", "matrix", "--input", path]],
+            "graph": [["spectral", "--input", path],
+                      ["cheeger", "--dimension", "0", "--variant", "cocycle", "--input", path]],
+            "hom_instance": [["defect", "local", "--kind", "hom", "--input", path]],
+            "weights": [["weights", "--input", cx, "--weights", path]]}[kind]
 
 
 def _fails_cleanly(kind, d):
-    """Validate the file and consume it: exit 0 or 1, one-line message, and a
-    file that validate refuses is refused by the consumer too.  Returns the
-    two exit codes."""
+    """Validate the file and consume it: exit 0 or 1 and a one-line message.
+    validate is a load, so every consumer refuses a file that validate
+    refuses, with the same message; a weights file needs a complex, so
+    validate refuses every one and only the consumer's exit is checked.
+    Returns the exit codes of validate and of each consumer."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out, cx = (str(Path(tmp) / name) for name in ("in.json", "out.json", "x.json"))
         Path(path).write_text(json.dumps(d), encoding="utf-8")
         fileio.save_json(fileio.complex_to_dict(FUZZ_X), cx)
         code, text, _ = _main(["validate", "--input", path])
         assert code in (0, 1)
-        assert text.startswith("ok:" if code == 0 else "invalid"), text
-        dcode, _, err = _main(_consume(kind, path, out, cx))
-        assert dcode in (0, 1)
-        if dcode == 1:
-            assert err.startswith("error:"), err
-        if code == 1:
-            assert dcode == 1
-        return code, dcode
+        assert text.startswith("ok:" if code == 0 else "invalid: "), text
+        codes = [code]
+        for argv in _consumers(kind, path, out, cx):
+            dcode, _, err = _main(argv)
+            assert dcode in (0, 1)
+            if dcode == 1:
+                assert err.startswith("error:"), err
+            if code == 1 and kind != "weights":
+                assert (dcode, err) == (1, "error: " + text[len("invalid: "):]), (text, err)
+            codes.append(dcode)
+        return tuple(codes)
 
 
 @settings(max_examples=150, deadline=None)
@@ -518,8 +539,52 @@ def test_fuzzed_presentation_files_fail_cleanly(d):
 
 @settings(max_examples=100, deadline=None)
 @given(mutated(FUZZ_MATRIX))
+@example({**FUZZ_MATRIX, "mu": ["1/0"]})   # a zero denominator
+@example({**FUZZ_MATRIX, "mu": [True]})    # a bool weight
 def test_fuzzed_matrix_files_fail_cleanly(d):
     _fails_cleanly("matrix", d)
+
+
+BROKEN_GRAPH = {"vertices": 3, "edges": [{"id": 1, "from": 1, "to": 5}]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FUZZ_GRAPH))
+@example(BROKEN_GRAPH)   # a dangling endpoint
+def test_fuzzed_graph_files_fail_cleanly(d):
+    _fails_cleanly("graph", d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FUZZ_HOM))
+def test_fuzzed_hom_instance_files_fail_cleanly(d):
+    _fails_cleanly("hom_instance", d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated(FUZZ_WEIGHTS))
+@example({"mu2": [None]})    # a null weight
+@example({"mu2": ["1/0"]})   # a zero denominator
+@example({"mu": ["1"]})      # a mu file where a mu2 file belongs
+def test_fuzzed_weights_files_fail_cleanly(d):
+    _fails_cleanly("weights", d)
+
+
+def test_broken_graph_is_refused_by_every_graph_command(tmp_path, capsys):
+    # every command that reads a graph refuses it as validate does
+    fileio.save_json(BROKEN_GRAPH, tmp_path / "g.json")
+    for argv in (["spectral"], ["cheeger"], ["cheeger", "--dimension", "0",
+                                             "--variant", "cocycle"]):
+        code, _, err = run(capsys, *argv, "--input", str(tmp_path / "g.json"))
+        assert (code, err) == (1, "error: invalid graph: dangling endpoint on edge 1: (1,5)\n")
+
+
+def test_weights_for_relators_refuse_a_zero_denominator(tmp_path, capsys):
+    fileio.save_json(FUZZ_MATRIX, tmp_path / "m.json")
+    fileio.save_json({"mu": ["1/0"]}, tmp_path / "w.json")
+    code, _, err = run(capsys, "defect", "local", "--kind", "matrix", "--input",
+                       str(tmp_path / "m.json"), "--weights", str(tmp_path / "w.json"))
+    assert (code, err) == (1, "error: '1/0' is not a finite rational\n")
 
 
 @pytest.mark.parametrize("kind, base", [

@@ -16,6 +16,19 @@ def test_fraction_round_trip():
     assert fileio.frac_from_str(5) == 5
 
 
+@pytest.mark.parametrize("bad", [None, True, [1], {"1": 1}, "1/0", "0/0", float("inf")])
+def test_rational_fields_refuse_what_is_not_a_finite_rational(bad):
+    with pytest.raises(ValueError):
+        fileio.frac_from_str(bad)
+
+
+def test_hom_instance_needs_one_image_per_generator_of_one_degree():
+    p = {"generators": 2, "relators": [[1, 2, -1, -2]]}
+    for images in ([[2, 1]], [[2, 1], [1, 3, 2]]):
+        with pytest.raises(ValueError):
+            fileio.hom_instance_from_dict({"presentation": p, "images": images})
+
+
 def test_graph_round_trip(tmp_path):
     g = instances.petersen_graph()
     d = fileio.graph_to_dict(g)

@@ -145,6 +145,14 @@ def test_check_covering_fiber_sizes():
         check_covering(f, 2)
 
 
+def test_validate_graph_refuses_non_integers():
+    # Graph stores what it is given; validate_graph is the check
+    for g in (Graph(2.0, ((1, 2),)), Graph(True, ()), Graph(3, ((1, 2.7),)),
+              Graph(2, ((True, 2),))):
+        rep = validate_graph(g)
+        assert not rep.ok and "integer" in rep.message, g
+
+
 def test_validate_map_catches_endpoint_violations():
     g = triangle()
     ok = CombinatorialMap(g, g, (1, 2, 3), (1, 2, 3))

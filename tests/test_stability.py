@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from permstab import instances, stability
 from permstab.cochains import (Cochain0, Cochain1, coboundary0,
                                cochain_distance, cochain_norm,
-                               cochain_to_covering, images_to_cochain,
-                               is_coboundary, orbit_distance)
+                               cochain_to_covering, identity_cochain1,
+                               images_to_cochain, is_coboundary, orbit_distance)
 from permstab.complexes import (Presentation, fundamental_presentation,
                                 presentation_complex)
 from permstab.errors import GuardExceeded
@@ -195,7 +195,7 @@ def _align_every_candidate(alpha, cap, align_guard,
                 best, witness = d, wit
         if best == 0:   # global_defect stops at a zero distance
             break
-    return best, "exact-within-cap" if exact else "heuristic", witness
+    return best, "exact-within-cap" if exact or best == 0 else "heuristic", witness
 
 
 def _floor_cases():
@@ -286,7 +286,7 @@ def _hom_every_degree(p, images, cap, hom_guard):
                 best, witness = d, h
         if best == 0:   # global_defect stops at a zero distance
             break
-    return best, "exact-within-cap" if exact else "heuristic", witness
+    return best, "exact-within-cap" if exact or best == 0 else "heuristic", witness
 
 
 def test_hom_degree_floor_keeps_bound_label_and_witness():
@@ -313,6 +313,14 @@ def test_hom_stops_at_a_zero_bound():
     assert res.upper_bound == 0 and res.witness == (Permutation([1, 2, 3]),)
     assert res.exactness == "exact-within-cap"
     assert res.degrees_skipped == ()
+
+
+def test_zero_bound_through_the_identity_alignment_is_exact():
+    # align_guard=1 measures every candidate at the identity alignment, which
+    # clears the exact flag; a zero bound is exact all the same
+    a = identity_cochain1(instances.bouquet_a3(), 2)
+    res = global_defect("cocycle", a, 3, align_guard=1)
+    assert (res.upper_bound, res.exactness) == (0, "exact-within-cap")
 
 
 @settings(max_examples=40, deadline=None)
