@@ -34,8 +34,8 @@ from .cochains import (Cochain0, Cochain1, act0on1, coboundary0, coboundary1,
                        is_cocycle, orbit_distance, tree_normalize)
 from .testers import (DefectReport, TestOutcome, cocycle_local_defect,
                       cover_local_defect, dm_cover_local_defect,
-                      hom_local_defect, matrix_tester, matrix_to_presentation,
-                      run_sampled, vector_to_images)
+                      hom_local_defect, local_defect, matrix_tester,
+                      matrix_to_presentation, run_sampled, vector_to_images)
 from .stability import (CheegerReport, GlobalDefectResult, SpectralReport,
                         cheeger, enumerate_homomorphisms, global_defect,
                         h0_vanishing_check, h1_vanishing_check, spectral_gap,

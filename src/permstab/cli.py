@@ -28,13 +28,12 @@ from .cochains import (Cochain1, cochain_to_covering, covering_to_cochain,
 from .complexes import (PolygonalComplex, fundamental_presentation,
                         polygon_weights, presentation_complex)
 from .errors import GuardExceeded
-from .graphs import Covering, edit_distance
+from .graphs import edit_distance
 from .stability import (DEFAULT_ALIGNMENT_GUARD, DEFAULT_ENUM_GUARD,
                         DEFAULT_HOM_GUARD, cheeger, global_defect,
                         h1_vanishing_check, spectral_gap, stability_profile)
 from .testers import (cocycle_local_defect, cover_local_defect,
-                      dm_cover_local_defect, hom_local_defect, matrix_tester,
-                      run_sampled)
+                      hom_local_defect, local_defect, run_sampled)
 
 DEFAULT_SEED = 1729
 
@@ -82,39 +81,40 @@ def _parse_tree(arg: str | None) -> frozenset[int] | None:
     return frozenset(int(v) for v in arg.split(",") if v)
 
 
-def _load_kind(path: str, kind: str):
+def _load_kind(path: str, *kinds: str):
+    """Load a file of one of ``kinds``: the ``fileio.load_object`` kinds, with
+    a cochain named by its dimension, ``0-cochain`` or ``1-cochain``."""
     found, obj = fileio.load_object(path)
-    if found != kind:
-        raise ValueError(f"expected a {kind} file, got a {found} file")
+    if found == "cochain":
+        found = "1-cochain" if isinstance(obj, Cochain1) else "0-cochain"
+    if found not in kinds:
+        raise ValueError(f"expected a {' or '.join(kinds)} file, got a {found} file")
     return obj
+
+
+# the file each tester kind reads; the cover kinds read --complex as well
+_TESTER_FILE = {"hom": "hom_instance", "cocycle": "1-cochain", "cover": "covering",
+                "cover_dm": "covering", "matrix": "matrix"}
 
 
 def _defect_object(args) -> tuple[str, object, object]:
     """Resolve (kind, tester object, weights) from CLI arguments."""
     kind = args.kind.replace("-", "_")
-    if kind == "hom":
-        p, images = _load_kind(args.input, "hom_instance")
-        return kind, (p, images), _load_weights(args.weights, None)
-    if kind == "cocycle":
-        _, a = fileio.load_object(args.input)
-        if not isinstance(a, Cochain1):
-            raise ValueError("cocycle defect needs a dimension-1 cochain file")
-        x = a.space if isinstance(a.space, PolygonalComplex) else None
-        return kind, a, _load_weights(args.weights, x)
+    obj = _load_kind(args.input, _TESTER_FILE[kind])
+    x = None
     if kind in ("cover", "cover_dm"):
-        _, c = fileio.load_object(args.input)
         if args.complex is None:
             raise ValueError("cover defects need --complex")
-        _, x = fileio.load_object(args.complex)
-        if not isinstance(c, Covering) or not isinstance(x, PolygonalComplex):
-            raise ValueError("cover defects need a covering file and a complex file")
-        return kind, (c, x), _load_weights(args.weights, x)
-    if kind == "matrix":
-        rows, vector, mu = _load_kind(args.input, "matrix")
-        if args.weights is not None:
-            mu = _load_weights(args.weights, None)
-        return kind, (rows, vector), mu
-    raise ValueError(f"unknown kind {args.kind!r}")
+        x = _load_kind(args.complex, "complex")
+        obj = (obj, x)
+    elif kind == "cocycle" and isinstance(obj.space, PolygonalComplex):
+        x = obj.space
+    elif kind == "matrix":
+        rows, vector, mu = obj
+        if args.weights is None:
+            return kind, (rows, vector), mu
+        obj = (rows, vector)
+    return kind, obj, _load_weights(args.weights, x)
 
 
 # ---------------------------------------------------------------------------
@@ -133,18 +133,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_defect(args) -> int:
+    if args.scope == "global" and args.weights is not None:
+        raise ValueError("global defects are unweighted; --weights is for local defects")
     kind, obj, weights = _defect_object(args)
     if args.scope == "local":
-        if kind == "hom":
-            report = hom_local_defect(*obj, mu=weights)
-        elif kind == "cocycle":
-            report = cocycle_local_defect(obj, weights)
-        elif kind == "cover":
-            report = cover_local_defect(*obj, weights=weights)
-        elif kind == "cover_dm":
-            report = dm_cover_local_defect(*obj)
-        else:
-            report = matrix_tester(*obj, mu=weights)
+        report = local_defect(kind, obj, weights)
         _emit({"scope": "local", "kind": report.kind, "value": report.value,
                "distribution": report.distribution}, args.format)
         return 0
@@ -174,35 +167,31 @@ def cmd_test(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.to == "cover":
-        _, a = fileio.load_object(args.input)
+        a = _load_kind(args.input, "1-cochain")
         cover = cochain_to_covering(a)
         fileio.save_json(fileio.covering_to_dict(cover), args.output)
     elif args.to == "cochain":
-        _, c = fileio.load_object(args.input)
-        x = None
-        if args.complex is not None:
-            _, x = fileio.load_object(args.complex)
+        c = _load_kind(args.input, "covering")
+        x = None if args.complex is None else _load_kind(args.complex, "complex")
         a = covering_to_cochain(c, x)
         fileio.save_json(fileio.cochain1_to_dict(a), args.output)
     elif args.to == "complex":
-        _, p = fileio.load_object(args.input)
+        p = _load_kind(args.input, "presentation")
         fileio.save_json(fileio.complex_to_dict(presentation_complex(p)), args.output)
     elif args.to == "presentation":
-        _, x = fileio.load_object(args.input)
+        x = _load_kind(args.input, "complex")
         fp = fundamental_presentation(x, args.root, _parse_tree(args.tree))
         d = fileio.presentation_to_dict(fp.presentation)
         d["tree"] = sorted(fp.tree)
         d["root"] = fp.root
         d["generator_edges"] = list(fp.generator_edges)
         fileio.save_json(d, args.output)
-    else:
-        raise ValueError(f"unknown target {args.to!r}")
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_cheeger(args) -> int:
-    _, obj = fileio.load_object(args.input)
+    obj = _load_kind(args.input, "complex", "graph")
     rep = cheeger(obj, args.dimension, args.variant, args.coeff_cap,
                   enum_guard=args.guard_enum, hom_guard=args.guard_hom,
                   align_guard=args.guard_align)
@@ -216,15 +205,14 @@ def cmd_cheeger(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    _, g = fileio.load_object(args.input)
-    rep = spectral_gap(skeleton_of(g.space) if isinstance(g, Cochain1) else
-                       g.skeleton if isinstance(g, PolygonalComplex) else g)
+    obj = _load_kind(args.input, "graph", "complex", "0-cochain", "1-cochain")
+    rep = spectral_gap(skeleton_of(getattr(obj, "space", obj)))   # a cochain's space
     _emit({"k": rep.k, "lambda2": rep.lambda2, "gamma": rep.gamma}, args.format)
     return 0
 
 
 def cmd_h1check(args) -> int:
-    _, x = fileio.load_object(args.input)
+    x = _load_kind(args.input, "complex")
     reports = h1_vanishing_check(x, args.ncap, root=args.root,
                                  tree=_parse_tree(args.tree),
                                  hom_guard=args.guard_hom)
@@ -250,7 +238,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    _, obj = fileio.load_object(args.input)
+    obj = _load_kind(args.input, "complex", "presentation")
     grid = [float(v) for v in args.grid.split(",") if v]
     res = stability_profile(obj, args.n, grid, args.samples, args.seed,
                             args.nmax, root=args.root,
@@ -307,7 +295,7 @@ def _equiv_checks(a: Cochain1, nmax: int | None, root: int,
 
 
 def cmd_equiv(args) -> int:
-    _, a = fileio.load_object(args.input)
+    a = _load_kind(args.input, "1-cochain")
     checks = _equiv_checks(a, args.nmax, args.root, args.guard_hom, args.guard_align)
     failed = 0
     for name, ok in checks:

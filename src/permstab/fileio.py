@@ -100,15 +100,19 @@ def labeled_graph_to_dict(lg: LabeledGraph) -> dict[str, Any]:
     return out
 
 
+def _labeling_from_dict(d: dict[str, Any]) -> CombinatorialMap:
+    """The labeling, with its two graphs checked but not the map."""
+    return CombinatorialMap(graph_from_dict(d), graph_from_dict(d["base"]),
+                            tuple(_int_list(d["vertex_map"], "vertex_map")),
+                            tuple(_int_list(d["edge_map"], "edge_map")))
+
+
 def labeled_graph_from_dict(d: dict[str, Any]) -> LabeledGraph:
-    g = graph_from_dict(d)
-    base = graph_from_dict(d["base"])
-    labeling = CombinatorialMap(g, base, tuple(_int_list(d["vertex_map"], "vertex_map")),
-                                tuple(_int_list(d["edge_map"], "edge_map")))
+    labeling = _labeling_from_dict(d)
     rep = validate_map(labeling)
     if not rep.ok:
         raise ValueError(f"invalid labeling: {rep.message}")
-    return LabeledGraph(g, labeling)
+    return LabeledGraph(labeling.source, labeling)
 
 
 def covering_to_dict(c: Covering) -> dict[str, Any]:
@@ -119,20 +123,19 @@ def covering_to_dict(c: Covering) -> dict[str, Any]:
 
 
 def covering_from_dict(d: dict[str, Any]) -> Covering:
-    """Load a covering, checking the star bijections, fiber sizes and labels.
+    """Load a covering, checking the map, star bijections, fiber sizes and labels.
 
     Raises ValueError naming the offending vertex: the map must pass
     ``check_covering`` and each stored fiber must list exactly its fiber.
     """
-    lg = labeled_graph_from_dict(d)
-    degree = _int(d["degree"], "degree")
-    canonical = check_covering(lg.labeling, degree).fiber_labels
+    labeling = _labeling_from_dict(d)
+    canonical = check_covering(labeling, _int(d["degree"], "degree"))
     fibers = tuple(tuple(_int_list(d["fiber_labels"][str(x)], "fiber labels over vertex %d", x))
-                   for x in range(1, lg.base.vertex_count + 1))
-    for x, (stored, fib) in enumerate(zip(fibers, canonical), start=1):
+                   for x in range(1, labeling.target.vertex_count + 1))
+    for x, (stored, fib) in enumerate(zip(fibers, canonical.fiber_labels), start=1):
         if sorted(stored) != list(fib):
             raise ValueError(f"fiber labels over vertex {x} are not a labeling of its fiber")
-    return Covering(lg, degree, fibers)
+    return Covering(canonical.labeled, canonical.degree, fibers)
 
 
 # ---------------------------------------------------------------------------

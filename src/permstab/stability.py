@@ -501,7 +501,8 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
             align_guard: int = DEFAULT_ALIGNMENT_GUARD) -> CheegerReport:
     """Expansion constants as minima of ||delta a|| over distance to (co)cycles.
 
-    ``classical`` is the exact edge-expansion minimum over vertex subsets.
+    ``classical`` is the exact edge-expansion minimum over vertex subsets, in
+    dimension 0 only.
     The dimension 0/1 variants enumerate all cochains with coefficients
     Sym(2)..Sym(coeff_cap); with a finite coefficient cap the result is an
     upper bound on the infimum over all permutation coefficients.  Dimension-1
@@ -509,6 +510,8 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
     ``exactness`` is ``heuristic`` when any of those searches tripped a guard.
     """
     if variant == "classical":
+        if dimension != 0:
+            raise ValueError("the classical Cheeger constant has dimension 0 only")
         return _classical_cheeger(skeleton_of(space))
     if variant not in ("cocycle", "coboundary"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -1,12 +1,13 @@
 """The randomized testers: exact rejection probabilities and Monte Carlo runs.
 
 Every tester is a table of rejecting (constraint, orientation, point) cells
-plus a distribution over constraints.  Exact local defects are the mu-weighted
-rejecting share of those tables, computed by full enumeration; sampling draws
-cells from the same tables and exists to model the testers as stated and for
-profiling.  Sampled runs are driven by a counter-based generator (numpy
-Philox) with per-chunk derived seeds, so a run is a pure function of
-(seed, trials).
+plus a distribution over constraints, and ``_reject_tables`` is the one place
+that builds both for each kind.  Exact local defects (``local_defect``) are
+the mu-weighted rejecting share of those tables, computed by full
+enumeration; ``run_sampled`` draws cells from the same tables and exists to
+model the testers as stated and for profiling.  Sampled runs are driven by
+a counter-based generator (numpy Philox) with per-chunk derived seeds, so a
+run is a pure function of (seed, trials).
 
 The stream, named by ``GENERATOR_ID``, is fixed: chunk c holds at most 4096
 trials, is keyed by SeedSequence(seed, spawn_key=(c,)) and reads one uniform
@@ -20,6 +21,7 @@ the cumulative distribution.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .cochains import (Cochain1, _covering_images, _fold, _images, _mu2,
-                       _polygon_tables, _require_polygons, _value_table, _word_rows,
-                       cochain_norm)
+                       _polygon_tables, _require_polygons, _value_table, _word_rows)
 from .complexes import (PolygonalComplex, Presentation, WeightingSystem,
                         _check_distribution, uniform_distribution)
 from .graphs import Covering
@@ -44,7 +45,6 @@ _GUIDE_CELLS = 1 << 12
 class DefectReport:
     kind: str            # hom | cocycle | cover | cover_dm | matrix
     value: Fraction
-    weighted: bool
     distribution: str
 
     def __post_init__(self) -> None:
@@ -62,13 +62,20 @@ class TestOutcome:
     exact_rate: Fraction
 
 
+def _warn(message: str) -> None:
+    """Warn at the first calling line outside this module."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _check_mu(mu: Sequence[Fraction] | None, size: int, what: str) -> tuple[Fraction, ...]:
     if mu is None:
         return uniform_distribution(size)
     vec = _check_distribution(mu, size, what)
     if any(v == 0 for v in vec):
-        warnings.warn(f"{what} is not fully supported; the tester loses completeness",
-                      stacklevel=3)
+        _warn(f"{what} is not fully supported; the tester loses completeness")
     return vec
 
 
@@ -107,18 +114,6 @@ def _cover_tables(c: Covering, x: PolygonalComplex,
     return _polygon_tables(_require_polygons(x), _value_table(images), every_orientation)
 
 
-def _any_point(tables: list[np.ndarray]) -> list[np.ndarray]:
-    """Discrete metric: a constraint rejects when any of its points does."""
-    return [t.any(axis=1, keepdims=True) for t in tables]
-
-
-def _matrix_tables(rows: Sequence[Sequence[int]], v: Sequence[int]) -> list[np.ndarray]:
-    """The hom tester's tables over Sym(2): a row rejects both points or neither."""
-    if any(len(row) != len(v) for row in rows):
-        raise ValueError(f"rows must have length {len(v)}")
-    return _hom_tables(matrix_to_presentation(rows), vector_to_images(v))
-
-
 def _rate(mu: Sequence[Fraction], tables: list[np.ndarray]) -> Fraction:
     """Exact rejection probability: sum of mu_c * (rejecting cells / cells)."""
     return sum((w * Fraction(int(t.sum()), t.size) for w, t in zip(mu, tables)),
@@ -133,50 +128,81 @@ def _linf_exact(tables: list[np.ndarray]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact local defects
+# one assembly per tester kind, read exactly or by sampling
+
+# the name of each kind's constraint distribution; cover_dm has none
+_DISTRIBUTION = {"hom": "mu_R", "cocycle": "mu2", "cover": "mu2", "matrix": "mu"}
+
+
+def _reject_tables(kind: str, obj, weights, every_orientation: bool
+                   ) -> tuple[tuple[Fraction, ...], list[np.ndarray]]:
+    """Constraint distribution and rejection tables of a tester.
+
+    ``weights`` is a WeightingSystem for cocycle/cover kinds and a plain
+    distribution over relators/rows for hom/matrix; cover_dm refuses one.
+    A presentation with no relators has no tables and no distribution.
+    """
+    if kind == "cocycle":
+        tables = _cocycle_tables(obj, every_orientation)
+        return _mu2(obj.space, weights), tables
+    if kind in ("cover", "cover_dm"):
+        c, x = obj
+        tables = _cover_tables(c, x, every_orientation)
+        if kind == "cover":
+            return _mu2(x, weights), tables
+        if weights is not None:
+            raise ValueError("the discrete-metric cover tester takes no weights")
+        # discrete metric: a polygon class rejects when any of its points does
+        return uniform_distribution(len(tables)), [t.any(axis=1, keepdims=True) for t in tables]
+    if kind == "matrix":   # the hom tester over Sym(2): a row rejects both points or neither
+        rows, v = obj
+        if any(len(row) != len(v) for row in rows):
+            raise ValueError(f"rows must have length {len(v)}")
+        obj = (matrix_to_presentation(rows), vector_to_images(v))
+    elif kind != "hom":
+        raise ValueError(f"unknown tester kind {kind!r}")
+    tables = _hom_tables(*obj)
+    return (_check_mu(weights, len(tables), _DISTRIBUTION[kind]) if tables else ()), tables
+
+
+def local_defect(kind: str, obj, weights=None) -> DefectReport:
+    """Exact rejection probability of a tester, for ``run_sampled``'s kinds,
+    objects and weights.
+
+    It reads one orientation per polygon class: moved-point counts are
+    invariant under conjugation and inversion, so every orientation rejects
+    at the same rate.  A presentation with no relators gives 0 and a warning.
+    """
+    mu, tables = _reject_tables(kind, obj, weights, every_orientation=False)
+    if not tables:
+        _warn("presentation has no relators; defect is trivially 0")
+    return DefectReport(kind, _rate(mu, tables),
+                        "uniform" if weights is None else _DISTRIBUTION[kind])
 
 
 def hom_local_defect(p: Presentation, images: Sequence[Permutation],
                      mu: Sequence[Fraction] | None = None) -> DefectReport:
-    """Expected distance of relator images from the identity.
-
-    This is the exact rejection probability of sampling a relator (uniformly
-    or by mu) and a point, and accepting when the relator image fixes it.
-    """
-    tables = _hom_tables(p, images)
-    if not tables:
-        warnings.warn("presentation has no relators; defect is trivially 0", stacklevel=2)
-        return DefectReport("hom", Fraction(0), mu is not None, "uniform" if mu is None else "mu_R")
-    mu_r = _check_mu(mu, len(tables), "mu_R")
-    return DefectReport("hom", _rate(mu_r, tables), mu is not None,
-                        "uniform" if mu is None else "mu_R")
+    """Expected distance of relator images from the identity: the rejection
+    probability of sampling a relator (uniformly or by mu) and a point, and
+    accepting when the relator image fixes it."""
+    return local_defect("hom", (p, images), mu)
 
 
 def cocycle_local_defect(a: Cochain1, weights: WeightingSystem | None = None) -> DefectReport:
     """Tester-facing name for the coboundary norm of a 1-cochain."""
-    return DefectReport("cocycle", cochain_norm(a, weights), weights is not None,
-                        "uniform" if weights is None else "mu2")
+    return local_defect("cocycle", a, weights)
 
 
 def cover_local_defect(c: Covering, x: PolygonalComplex,
                        weights: WeightingSystem | None = None) -> DefectReport:
-    """Probability that the lift of a random polygon at a random fiber point is open.
-
-    The open lifts are the moved points of the polygon values of the cochain
-    read off the covering (``covering_to_cochain``), so this equals that
-    cochain's coboundary norm; the open count per class is the same for
-    every orientation, so one representative suffices.
-    """
-    tables = _cover_tables(c, x, every_orientation=False)
-    return DefectReport("cover", _rate(_mu2(x, weights), tables), weights is not None,
-                        "uniform" if weights is None else "mu2")
+    """Probability that the lift of a random polygon at a random fiber point
+    is open; it equals the coboundary norm of ``covering_to_cochain(c, x)``."""
+    return local_defect("cover", (c, x), weights)
 
 
 def dm_cover_local_defect(c: Covering, x: PolygonalComplex) -> DefectReport:
     """Discrete-metric variant: fraction of polygon classes with any open lift."""
-    tables = _any_point(_cover_tables(c, x, every_orientation=False))
-    return DefectReport("cover_dm", _rate(uniform_distribution(len(tables)), tables),
-                        False, "uniform")
+    return local_defect("cover_dm", (c, x))
 
 
 # ---------------------------------------------------------------------------
@@ -212,45 +238,14 @@ def vector_to_images(v: Sequence[int]) -> tuple[Permutation, ...]:
 
 def matrix_tester(rows: Sequence[Sequence[int]], v: Sequence[int],
                   mu: Sequence[Fraction] | None = None) -> DefectReport:
-    """Exact rejection probability of the parity-check tester on the vector v.
-
-    This is the hom local defect of ``matrix_to_presentation(rows)`` at
-    ``vector_to_images(v)`` under the same row distribution: the tables are
-    the hom tester's.
-    """
-    tables = _matrix_tables(rows, v)
-    mu_rows = _check_mu(mu, len(tables), "mu")
-    return DefectReport("matrix", _rate(mu_rows, tables), mu is not None,
-                        "uniform" if mu is None else "mu")
+    """Exact rejection probability of the parity-check tester on the vector v:
+    the hom local defect of ``matrix_to_presentation(rows)`` at
+    ``vector_to_images(v)`` under the same row distribution."""
+    return local_defect("matrix", (rows, v), mu)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
-
-
-def _reject_tables(kind: str, obj, weights) -> tuple[tuple[Fraction, ...], list[np.ndarray]]:
-    """Constraint distribution and every-orientation rejection tables of a tester.
-
-    ``weights`` is a WeightingSystem for cocycle/cover kinds and a plain
-    distribution over relators/rows for hom/matrix.
-    """
-    if kind == "hom":
-        p, images = obj
-        return _check_mu(weights, len(p.relators), "mu_R"), _hom_tables(p, images)
-    if kind == "cocycle":
-        tables = _cocycle_tables(obj, every_orientation=True)
-        return _mu2(obj.space, weights), tables
-    if kind in ("cover", "cover_dm"):
-        c, x = obj
-        tables = _cover_tables(c, x, every_orientation=True)
-        if kind == "cover":
-            return _mu2(x, weights), tables
-        return uniform_distribution(len(tables)), _any_point(tables)
-    if kind == "matrix":
-        rows, v = obj
-        tables = _matrix_tables(rows, v)
-        return _check_mu(weights, len(tables), "mu"), tables
-    raise ValueError(f"unknown tester kind {kind!r}")
 
 
 def _constraint_guide(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,7 +353,9 @@ def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
         raise ValueError(f"no L-infinity variant for kind {kind!r}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mu, tables = _reject_tables(kind, obj, weights)
+        mu, tables = _reject_tables(kind, obj, weights, every_orientation=True)
+    if not tables:
+        raise ValueError("presentation has no relators; there is nothing to sample")
     exact_rate = _linf_exact(tables) if linf else _rate(mu, tables)
     rejections = _sampled_rejections(mu, tables, trials, seed, linf)
     return TestOutcome(trials, rejections, Fraction(rejections, trials),

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from permstab import fileio, instances, stability
 from permstab.cli import build_parser, main
-from permstab.cochains import (Cochain1, cochain_to_covering, identity_cochain1,
-                               images_to_cochain)
+from permstab.cochains import (Cochain0, Cochain1, cochain_to_covering,
+                               identity_cochain1, images_to_cochain)
 from permstab.perm import Permutation
 
 
@@ -602,3 +602,110 @@ def test_non_integer_numbers_are_refused(kind, base):
             d = copy.deepcopy(base)
             _at(d, path[:-1])[path[-1]] = bad
             assert _fails_cleanly(kind, d) == (1, 1), (path, bad)
+
+
+# ---------------------------------------------------------------------------
+# every command on a file of every kind
+
+KIND_FILES = {
+    "covering": FUZZ_COVER,
+    "labeled_graph": {k: v for k, v in FUZZ_COVER.items() if k not in ("degree", "fiber_labels")},
+    "1-cochain": FUZZ_COCHAIN,
+    "0-cochain": fileio.cochain0_to_dict(Cochain0(FUZZ_X, 2, FUZZ_ALPHA.values)),
+    "complex": fileio.complex_to_dict(FUZZ_X),
+    "presentation": FUZZ_PRESENTATION,
+    "matrix": FUZZ_MATRIX,
+    "graph": FUZZ_GRAPH,
+    "hom_instance": FUZZ_HOM,
+    "weights": FUZZ_WEIGHTS,
+}
+
+
+def _commands_and_kinds(path, out, cx):
+    """Each command that reads --input, with the file kinds it accepts."""
+    testers = (("hom", "hom_instance"), ("cocycle", "1-cochain"), ("cover", "covering"),
+               ("cover-dm", "covering"), ("matrix", "matrix"))
+    rows = [(["defect", "local", "--kind", kind, "--complex", cx], accepts)
+            for kind, accepts in testers]
+    rows += [(["test", "--kind", kind, "--complex", cx, "--trials", "10"], accepts)
+             for kind, accepts in testers]
+    rows += [(["defect", "global", "--kind", kind, "--complex", cx, "--nmax", "3"], accepts)
+             for kind, accepts in testers[:3]]
+    rows += [(["convert", "--to", "cover", "--output", out], "1-cochain"),
+             (["convert", "--to", "cochain", "--output", out], "covering"),
+             (["convert", "--to", "complex", "--output", out], "presentation"),
+             (["convert", "--to", "presentation", "--output", out], "complex"),
+             (["cheeger"], "complex or graph"),
+             (["spectral"], "graph or complex or 0-cochain or 1-cochain"),
+             (["h1check", "--ncap", "2"], "complex"),
+             (["weights"], "complex"),
+             (["profile", "--n", "2", "--samples", "1", "--grid", "0"], "complex or presentation"),
+             (["equiv", "--nmax", "3"], "1-cochain")]
+    return [(argv + ["--input", path], accepts) for argv, accepts in rows]
+
+
+def test_every_command_reads_every_kind_of_file_without_a_traceback(tmp_path):
+    # a file of the wrong kind is refused with exit 1 and one line naming the
+    # kinds the command reads; a file of a kind it reads is consumed
+    cx, out = str(tmp_path / "x.json"), str(tmp_path / "out.json")
+    fileio.save_json(fileio.complex_to_dict(FUZZ_X), cx)
+    paths = {kind: str(tmp_path / f"{kind}.json") for kind in KIND_FILES}
+    for kind, d in KIND_FILES.items():
+        fileio.save_json(d, paths[kind])
+    for kind, path in paths.items():
+        code, text, _ = _main(["validate", "--input", path])
+        assert (code, text) == ((1, "invalid: weight files need a complex; load them explicitly\n")
+                                if kind == "weights" else
+                                (0, f"ok: {'cochain' if 'cochain' in kind else kind}\n"))
+        for argv, accepts in _commands_and_kinds(path, out, cx):
+            code, _, err = _main(argv)
+            if kind in accepts.split(" or "):
+                assert (code, err) == (0, ""), (kind, argv)
+            elif kind == "weights":
+                assert (code, err) == (1, "error: weight files need a complex; "
+                                          "load them explicitly\n"), argv
+            else:
+                assert (code, err) == (1, f"error: expected a {accepts} file, "
+                                          f"got a {kind} file\n"), argv
+        for argv in (["defect", "local", "--kind", "cover"],
+                     ["convert", "--to", "cochain", "--output", out]):
+            code, _, err = _main(argv + ["--input", paths["covering"], "--complex", path])
+            if kind in ("complex", "weights"):
+                assert code == (0 if kind == "complex" else 1)
+            else:
+                assert (code, err) == (1, f"error: expected a complex file, "
+                                          f"got a {kind} file\n"), argv
+
+
+def test_defect_global_refuses_weights(tmp_path, capsys):
+    # the global defects are unweighted, so a weights file is refused rather
+    # than loaded and ignored
+    path = str(write_cut_bundle(tmp_path))
+    fileio.save_json({"mu2": ["1/1"] + ["0/1"] * 9}, tmp_path / "w.json")
+    argv = ("defect", "global", "--kind", "cocycle", "--input", path, "--nmax", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "upper_bound = 1/15" in out
+    code, out, err = run(capsys, *argv, "--weights", str(tmp_path / "w.json"))
+    assert (code, out) == (1, "")
+    assert err == "error: global defects are unweighted; --weights is for local defects\n"
+
+
+def test_cover_dm_refuses_weights(tmp_path, capsys):
+    fileio.save_json(FUZZ_COVER, tmp_path / "c.json")
+    fileio.save_json(fileio.complex_to_dict(FUZZ_X), tmp_path / "x.json")
+    fileio.save_json({"mu2": ["1/1"]}, tmp_path / "w.json")
+    for argv in (["defect", "local"], ["test"]):
+        code, _, err = run(capsys, *argv, "--kind", "cover-dm", "--input",
+                           str(tmp_path / "c.json"), "--complex", str(tmp_path / "x.json"),
+                           "--weights", str(tmp_path / "w.json"))
+        assert (code, err) == (1, "error: the discrete-metric cover tester takes no weights\n")
+
+
+def test_cheeger_classical_has_no_dimension_1(tmp_path, capsys):
+    fileio.save_json(fileio.graph_to_dict(instances.complete_graph(4)), tmp_path / "k4.json")
+    code, out, err = run(capsys, "cheeger", "--input", str(tmp_path / "k4.json"),
+                         "--dimension", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: the classical Cheeger constant has dimension 0 only\n"
+    with pytest.raises(ValueError, match="dimension 0 only"):
+        stability.cheeger(instances.complete_graph(4), 1, "classical")

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from permstab import fileio, instances
+from permstab import fileio, graphs, instances
 from permstab.cochains import Cochain0, Cochain1, cochain_to_covering
 from permstab.complexes import Presentation
+from permstab.perm import Permutation
 
 
 def test_fraction_round_trip():
@@ -135,3 +136,28 @@ def test_save_is_deterministic(tmp_path):
     fileio.save_json(d, tmp_path / "a.json")
     fileio.save_json(d, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_covering_load_validates_its_map_once(monkeypatch):
+    # check_covering validates the labeling, so the loader does not do it
+    # again; a labeled-graph file has no covering check and validates it itself
+    calls, validate_map = [], graphs.validate_map
+
+    def counting(f):
+        calls.append(f)
+        return validate_map(f)
+
+    monkeypatch.setattr(graphs, "validate_map", counting)
+    monkeypatch.setattr(fileio, "validate_map", counting)
+    c = cochain_to_covering(Cochain1(instances.torus_complex(), 2,
+                                     (Permutation([2, 1]), Permutation([1, 2]))))
+    d = fileio.covering_to_dict(c)
+    assert fileio.covering_from_dict(d) == c
+    assert len(calls) == 1
+    assert fileio.labeled_graph_from_dict(d).labeling == c.labeled.labeling
+    assert len(calls) == 2
+    d["vertex_map"][0] = 2
+    with pytest.raises(ValueError, match="^not a combinatorial map: vertex 1 maps outside target$"):
+        fileio.covering_from_dict(d)
+    with pytest.raises(ValueError, match="^invalid labeling: vertex 1 maps outside target$"):
+        fileio.labeled_graph_from_dict(d)

@@ -11,12 +11,12 @@ from permstab import instances
 from permstab.cochains import (Cochain1, cochain_norm, cochain_to_covering,
                                images_to_cochain)
 from permstab.complexes import (Presentation, fundamental_presentation,
-                                polygon_weights)
+                                polygon_weights, presentation_complex)
 from permstab.perm import Permutation, random_permutation
-from permstab.testers import (GENERATOR_ID, cocycle_local_defect, cover_local_defect,
-                              dm_cover_local_defect, hom_local_defect,
-                              matrix_tester, matrix_to_presentation,
-                              run_sampled, vector_to_images)
+from permstab.testers import (GENERATOR_ID, DefectReport, cocycle_local_defect,
+                              cover_local_defect, dm_cover_local_defect,
+                              hom_local_defect, local_defect, matrix_tester,
+                              matrix_to_presentation, run_sampled, vector_to_images)
 
 ID2 = Permutation.identity(2)
 SWAP = Permutation([2, 1])
@@ -363,3 +363,62 @@ def test_run_sampled_takes_numpy_integers():
     out = run_sampled("hom", (A3, (SWAP,)), np.int64(10), seed=np.uint32(3))
     assert (out.trials, out.seed) == (10, 3)
     assert type(out.trials) is int and type(out.seed) is int
+
+
+def test_local_defect_is_every_named_tester():
+    # each named exact tester is local_defect on its kind; the report names
+    # the distribution and carries nothing else about the weights
+    y = presentation_complex(Presentation(2, ((1, 1, 1), (2, 2, 2))))
+    a = images_to_cochain([Permutation([2, 1, 3]), Permutation([2, 3, 1])], y)
+    c = cochain_to_covering(a)
+    ws = polygon_weights(y, [Fraction(1, 4), Fraction(3, 4)])
+    two = Presentation(1, ((1, 1), (1, 1, 1)))
+    mu = [Fraction(1, 3), Fraction(2, 3)]
+    rows, v = [[1, 0, 1], [0, 1, 1]], [1, 0, 0]
+    cases = [("hom", (two, (SWAP,)), None, hom_local_defect(two, (SWAP,)), "uniform"),
+             ("hom", (two, (SWAP,)), mu, hom_local_defect(two, (SWAP,), mu), "mu_R"),
+             ("cocycle", a, None, cocycle_local_defect(a), "uniform"),
+             ("cocycle", a, ws, cocycle_local_defect(a, ws), "mu2"),
+             ("cover", (c, y), None, cover_local_defect(c, y), "uniform"),
+             ("cover", (c, y), ws, cover_local_defect(c, y, ws), "mu2"),
+             ("cover_dm", (c, y), None, dm_cover_local_defect(c, y), "uniform"),
+             ("matrix", (rows, v), None, matrix_tester(rows, v), "uniform"),
+             ("matrix", (rows, v), mu, matrix_tester(rows, v, mu), "mu")]
+    for kind, obj, weights, named, distribution in cases:
+        report = local_defect(kind, obj, weights)
+        assert report == named == DefectReport(kind, report.value, distribution)
+        assert report.value == run_sampled(kind, obj, 1, seed=0, weights=weights).exact_rate
+    assert local_defect("cocycle", a, ws).value == Fraction(1, 4) * Fraction(2, 3)
+    with pytest.raises(ValueError, match="unknown tester kind"):
+        local_defect("nope", None)
+
+
+def test_cover_dm_tester_refuses_weights():
+    # the discrete-metric tester draws polygon classes uniformly and has no
+    # distribution to weight
+    y = presentation_complex(Presentation(2, ((1, 1, 1), (2, 2, 2))))
+    c = cochain_to_covering(images_to_cochain([Permutation([2, 1, 3]), Permutation.identity(3)], y))
+    ws = polygon_weights(y, [Fraction(1), Fraction(0)])
+    for call in (lambda: local_defect("cover_dm", (c, y), ws),
+                 lambda: run_sampled("cover_dm", (c, y), 10, seed=0, weights=ws)):
+        with pytest.raises(ValueError, match="^the discrete-metric cover tester takes no weights$"):
+            call()
+
+
+def test_presentation_without_relators_has_nothing_to_sample():
+    with pytest.warns(UserWarning, match="no relators"):
+        assert local_defect("hom", (Presentation(1, ()), (SWAP,)), [Fraction(1)]).value == 0
+    for linf in (False, True):
+        with pytest.raises(ValueError, match="no relators"):
+            run_sampled("hom", (Presentation(1, ()), (SWAP,)), 10, seed=0, linf=linf)
+
+
+def test_tester_warnings_point_at_the_calling_line():
+    two = Presentation(1, ((1, 1), (1, 1, 1)))
+    with pytest.warns(UserWarning) as record:
+        hom_local_defect(Presentation(1, ()), (SWAP,))
+        hom_local_defect(two, (SWAP,), mu=[Fraction(1), Fraction(0)])
+        matrix_tester([[1, 0], [0, 1]], [1, 0], mu=[Fraction(0), Fraction(1)])
+        local_defect("hom", (two, (SWAP,)), [Fraction(0), Fraction(1)])
+    assert len(record) == 4
+    assert {w.filename for w in record} == {__file__}
