@@ -72,6 +72,8 @@ def _load_weights(path: str | None, x: PolygonalComplex | None):
         return fileio.weights_from_dict(d, x)
     if "mu2" in d:
         raise ValueError("mu2 weights need a complex input")
+    if "mu" not in d:
+        raise ValueError('weights over relators or rows need a "mu" list')
     return fileio._frac_list(d["mu"], "mu")
 
 

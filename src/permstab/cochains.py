@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -133,6 +134,11 @@ def _images(values: Sequence[Permutation], degree: int) -> np.ndarray:
     flat = np.fromiter(itertools.chain.from_iterable(p.images for p in values),
                        np.intp, len(values) * degree)
     return flat.reshape(len(values), degree) - 1
+
+
+def _permutations(images: np.ndarray) -> tuple[Permutation, ...]:
+    """Permutations of 0-based (count, n) image rows, wrapped unchecked."""
+    return tuple(_trusted(tuple(row)) for row in (images + 1).tolist())
 
 
 def _value_table(images: np.ndarray) -> np.ndarray:
@@ -384,8 +390,7 @@ def covering_to_cochain(c: Covering, space: PolygonalComplex | Graph | None = No
     ValueError (see ``_covering_images``).
     """
     space = c.base if space is None else space
-    images = (_covering_images(c, space) + 1).tolist()
-    return Cochain1(space, c.degree, tuple(_trusted(tuple(row)) for row in images))
+    return Cochain1(space, c.degree, _permutations(_covering_images(c, space)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +461,55 @@ class OrbitDistanceResult:
     witness: Cochain1       # beta.candidate, realizing the value against the input
 
 
-def _extend_injection(mapped: Sequence[int], big: int) -> Permutation:
-    used = set(mapped)
-    rest = iter(v for v in range(1, big + 1) if v not in used)
-    return _trusted(tuple(mapped) + tuple(next(rest) for _ in range(big - len(mapped))))
-
-
 def alignment_guard_refuses(vertex_count: int, n: int, big: int, guard: int) -> bool:
     """Whether orbit_distance refuses a degree-n input against a degree-big
     candidate: one injection per vertex gives P(big, n)^vertex_count tuples."""
     return math.perm(big, n) ** vertex_count > guard
+
+
+@lru_cache(maxsize=32)
+def _injections(n: int, big: int) -> np.ndarray:
+    """Injections of 0..n-1 into 0..big-1 in itertools order, one per row (read-only)."""
+    inj = np.array(list(itertools.permutations(range(big), n)), dtype=np.intp)
+    inj.flags.writeable = False
+    return inj
+
+
+def _orbit_agreements(g: Graph, a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+    """The agreement kernel of orbit_distance on 0-based (edges, n) images a
+    and (edges, big) images b: relabeling b by one injection m_v per vertex,
+    edge x -> y agrees where m_x(a(i)) = b(m_y(i)).  The counts fill a dense
+    tensor over the P(big, n)^V injection tuples; a loop adds its diagonal
+    only.  Returns the best total and the first flat index attaining it."""
+    inj = _injections(a.shape[1], b.shape[1])
+    p_count, v = len(inj), g.vertex_count
+    lhs, rhs = inj[:, a].swapaxes(0, 1), b[:, inj]   # m_x(a(i)), b(m_y(i)) per edge
+    total = np.zeros((p_count,) * v, dtype=np.intp)
+    for e, (x, y) in enumerate(g.edges):
+        shape = [1] * v
+        shape[x - 1] = shape[y - 1] = p_count
+        if x == y:
+            term = (lhs[e] == rhs[e]).sum(axis=1)
+        else:
+            term = (lhs[e][:, None, :] == rhs[e][None, :, :]).sum(axis=2)
+            term = term if x < y else term.T
+        total += term.reshape(shape)
+    flat = int(np.argmax(total))
+    return int(total.flat[flat]), flat
+
+
+def _relabeling(space: PolygonalComplex | Graph, candidate: np.ndarray, n: int,
+                flat: int) -> tuple[Cochain0, Cochain1]:
+    """The 0-cochain beta of the injection tuple at ``flat`` (each injection
+    extended by the unused points in increasing order), and beta.candidate,
+    for 0-based (edges, big) candidate images."""
+    big = candidate.shape[1]
+    inj = _injections(n, big)
+    idx = np.unravel_index(flat, (len(inj),) * skeleton_of(space).vertex_count)
+    beta = Cochain0(space, big, tuple(
+        _trusted(tuple(m) + tuple(p for p in range(1, big + 1) if p not in m))
+        for m in (inj[list(idx)] + 1).tolist()))
+    return beta, act0on1(beta, Cochain1(space, big, _permutations(candidate)))
 
 
 def orbit_distance(alpha: Cochain1, candidate: Cochain1,
@@ -474,7 +518,7 @@ def orbit_distance(alpha: Cochain1, candidate: Cochain1,
 
     The agreement count of alpha against beta.candidate depends only on the
     restrictions of beta to the smaller degree, so the search ranges over one
-    injection per vertex and is evaluated as a dense tensor maximization.
+    injection per vertex, in the kernel the global-defect search runs too.
     Requires candidate.degree >= alpha.degree; refuses searches with more
     than ``guard`` injection tuples before building any of them.
     """
@@ -484,37 +528,12 @@ def orbit_distance(alpha: Cochain1, candidate: Cochain1,
     n, big = alpha.degree, candidate.degree
     if big < n:
         raise ValueError("candidate degree must be at least the input degree")
-    p_count = math.perm(big, n)
     if alignment_guard_refuses(g.vertex_count, n, big, guard):
         raise GuardExceeded(
-            f"orbit search needs {p_count}^{g.vertex_count} alignment tuples "
+            f"orbit search needs {math.perm(big, n)}^{g.vertex_count} alignment tuples "
             f"(guard {guard})")
-    injections = list(itertools.permutations(range(1, big + 1), n))
-    inj = np.array(injections, dtype=np.int64)  # (P, n), 1-based values
-    total = np.zeros((p_count,) * g.vertex_count, dtype=np.int64)
-    for k, (x, y) in enumerate(g.edges, start=1):
-        av = np.array(alpha.values[k - 1].images, dtype=np.int64)
-        bv = np.array(candidate.values[k - 1].images, dtype=np.int64)
-        lhs = inj[:, av - 1]        # m_x(alpha(e).i)
-        rhs = bv[inj - 1]           # candidate(e)(m_y(i))
-        table = (lhs[:, None, :] == rhs[None, :, :]).sum(axis=2)
-        if x == y:
-            shape = [1] * g.vertex_count
-            shape[x - 1] = p_count
-            total += np.diagonal(table).reshape(shape)
-        else:
-            lo, hi = min(x, y), max(x, y)
-            arr = table if x < y else table.T
-            shape = [1] * g.vertex_count
-            shape[lo - 1] = p_count
-            shape[hi - 1] = p_count
-            total += arr.reshape(shape)
-    flat_best = int(np.argmax(total))
-    best = int(total.reshape(-1)[flat_best])
-    idx = np.unravel_index(flat_best, total.shape)
-    beta = Cochain0(candidate.space, big,
-                    tuple(_extend_injection(injections[i], big) for i in idx))
-    witness = act0on1(beta, candidate)
+    b = _images(candidate.values, big)
+    best, flat = _orbit_agreements(g, _images(alpha.values, n), b)
+    beta, witness = _relabeling(candidate.space, b, n, flat)
     m = len(g.edges)
-    value = Fraction(m * big - best, m * big)
-    return OrbitDistanceResult(value, beta, witness)
+    return OrbitDistanceResult(Fraction(m * big - best, m * big), beta, witness)

@@ -250,6 +250,8 @@ def matrix_from_dict(d: dict[str, Any]):
 
 
 def weights_from_dict(d: dict[str, Any], x: PolygonalComplex):
+    if "mu2" not in d:
+        raise ValueError('weights over a complex need a "mu2" list of polygon weights')
     return polygon_weights(x, _frac_list(d["mu2"], "mu2"))
 
 

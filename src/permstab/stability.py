@@ -25,20 +25,18 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .cochains import (Cochain0, Cochain1, act0on1, alignment_guard_refuses,
-                       coboundary0, cochain_distance, cochain_norm,
-                       cochain_to_covering, covering_to_cochain, edge_norm,
-                       identity_cochain1, is_coboundary, orbit_distance,
+from .cochains import (Cochain0, Cochain1, _images, _orbit_agreements,
+                       _permutations, _relabeling, act0on1, alignment_guard_refuses,
+                       coboundary0, cochain_norm, cochain_to_covering,
+                       covering_to_cochain, edge_norm, is_coboundary,
                        skeleton_of)
 from .complexes import (FundamentalPresentation, PolygonalComplex,
                         Presentation, fundamental_presentation)
 from .errors import GuardExceeded
 from .graphs import DEFAULT_EDIT_GUARD  # noqa: F401  (re-exported)
 from .graphs import Graph, components, is_connected, vertex_stars
-from .perm import (Permutation, all_permutations,
-                   hamming_distance_with_errors, random_permutation)
+from .perm import Permutation, all_permutations, random_permutation
 from .testers import GENERATOR_ID, hom_local_defect
 
 DEFAULT_HOM_GUARD = 10 ** 8
@@ -56,33 +54,48 @@ def _hom_guard_refuses(generator_count: int, degree: int, guard: int) -> bool:
     return math.factorial(degree) ** generator_count > guard
 
 
+@lru_cache(maxsize=8)
+def _sym(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sym(degree) in the order of all_permutations (row 0 is the identity):
+    its 0-based image rows, the rows of their inverses, and the (2, degree!)
+    rows of s^-1 c s for s = (1 2) and s = (1 2 ... degree), found by
+    base-degree keys, which increase along the order.  Read-only."""
+    images = np.array([q.images for q in all_permutations(degree)],
+                      dtype=np.intp).reshape(-1, degree) - 1
+    weights, ident = degree ** np.arange(degree - 1, -1, -1), np.arange(degree)
+    conj = [np.argsort(s)[images[:, s]] @ weights
+            for s in (np.r_[1, 0, ident[2:]], np.roll(ident, -1))] if degree > 1 else []
+    tables = (images, np.argsort(images, axis=1),
+              np.searchsorted(images @ weights, np.array(conj, dtype=np.intp)))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 @lru_cache(maxsize=512)
-def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> tuple[tuple[Permutation, ...], ...]:
+def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> np.ndarray:
+    """The homomorphisms into Sym(degree) as a read-only (H, generators) array
+    of _sym(degree) rows, in lexicographic order."""
     if _hom_guard_refuses(p.generator_count, degree, guard):
         raise GuardExceeded(
             f"homomorphism search space {math.factorial(degree)}^{p.generator_count} "
             f"exceeds guard {guard}")
-    sym = list(all_permutations(degree))
-    if p.generator_count == 0:
-        return ((),)  # only empty relators can exist, and they hold vacuously
-    # Sym(degree) as 0-based image rows in the order of sym, and their inverses
-    images = np.array([q.images for q in sym], dtype=np.intp) - 1
-    inverses = np.argsort(images, axis=1)
+    images, inverses = _sym(degree)[:2] if p.generator_count else (None, None)
     ident = np.arange(degree)
     # a relator can be checked once every generator it mentions is assigned
     by_level: list[list[tuple[int, ...]]] = [[] for _ in range(p.generator_count + 1)]
     for r in p.relators:
         by_level[max((abs(s) for s in r), default=0)].append(r)
-    found: list[tuple[Permutation, ...]] = []
+    found: list[np.ndarray] = []
     chosen: list[int] = []  # rows of the generators assigned so far
 
-    def survivors(level: int) -> list[int]:
+    def survivors(level: int) -> np.ndarray:
         """Rows for generator ``level`` that kill every relator closing there.
 
         Each relator is folded once for all rows: assigned generators are
         single rows, the new generator is the whole array.
         """
-        keep = np.ones(len(sym), dtype=bool)
+        keep = np.ones(len(images), dtype=bool)
         for r in by_level[level]:
             acc = None
             for letter in r:
@@ -97,21 +110,26 @@ def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> tuple[tup
                 else:
                     acc = np.take_along_axis(acc, factor, axis=1)
             keep &= (acc == ident).all(axis=1)  # acc is 2-D: r mentions level
-        return np.flatnonzero(keep).tolist()
+        return np.flatnonzero(keep)
 
     def back(level: int) -> None:
         rows = survivors(level + 1)
         if level + 1 == p.generator_count:
-            prefix = tuple(sym[i] for i in chosen)
-            found.extend(prefix + (sym[j],) for j in rows)
+            found.append(np.empty((len(rows), level + 1), dtype=np.intp))
+            found[-1][:, :-1], found[-1][:, -1] = chosen, rows
             return
-        for j in rows:
+        for j in rows.tolist():
             chosen.append(j)
             back(level + 1)
             chosen.pop()
 
-    back(0)
-    return tuple(found)
+    if p.generator_count:
+        back(0)
+    else:   # only empty relators can exist, and they hold vacuously
+        found.append(np.zeros((1, 0), dtype=np.intp))
+    rows = np.concatenate(found)
+    rows.flags.writeable = False
+    return rows
 
 
 def enumerate_homomorphisms(p: Presentation, degree: int,
@@ -121,10 +139,35 @@ def enumerate_homomorphisms(p: Presentation, degree: int,
     Backtracking in lexicographic order of image tuples.  A relator is checked
     at the level of its highest generator, for every choice of that generator
     in one batched numpy fold over the (degree!, degree) image array, and the
-    search recurses over the surviving choices in ascending order.  Refuses
+    search recurses over the surviving choices in ascending order.  The search
+    keeps Sym(degree) row indices; this wraps them as Permutations.  Refuses
     when the raw search space |Sym(degree)|^generators exceeds the guard.
     """
-    return list(_homomorphisms_cached(p, degree, guard))
+    perms = _permutations(_sym(degree)[0]) if p.generator_count else ()
+    return [tuple(perms[i] for i in row)
+            for row in _homomorphisms_cached(p, degree, guard).tolist()]
+
+
+def _class_representatives(rows: np.ndarray, degree: int) -> np.ndarray:
+    """Indices of the first homomorphism of each conjugacy class, ascending.
+
+    Min-label propagation under conjugation by (1 2) and by (1 2 ... degree),
+    which generate every inner automorphism; a conjugate row is found by its
+    mixed-radix key, and the keys increase along the sorted rows.
+    """
+    if len(rows) == 1:
+        return np.zeros(1, dtype=np.intp)
+    radix = math.factorial(degree)
+    weights = np.array([radix ** k for k in range(rows.shape[1] - 1, -1, -1)],
+                       dtype=np.int64 if radix ** rows.shape[1] < 2 ** 63 else object)
+    own = rows.dot(weights)
+    neighbours = [np.searchsorted(own, conj[rows].dot(weights)) for conj in _sym(degree)[2]]
+    label = np.arange(len(rows))
+    while True:
+        new = np.minimum.reduce([label[label]] + [label[nb] for nb in neighbours])
+        if np.array_equal(new, label):
+            return np.flatnonzero(label == np.arange(len(rows)))
+        label = new
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +188,6 @@ class GlobalDefectResult:
             raise ValueError("global defect must lie in [0, 1]")
 
 
-def _images_distance(a: Sequence[Permutation], b: Sequence[Permutation]) -> Fraction:
-    vals = [hamming_distance_with_errors(p, q) for p, q in zip(a, b)]
-    return Fraction(sum(vals), len(vals))
-
-
 def _tree_trivial_cochain(x: PolygonalComplex, fp: FundamentalPresentation,
                           images: Sequence[Permutation], degree: int) -> Cochain1:
     gen_index = {k: i for i, k in enumerate(fp.generator_edges)}
@@ -159,49 +197,33 @@ def _tree_trivial_cochain(x: PolygonalComplex, fp: FundamentalPresentation,
     return Cochain1(x, degree, vals)
 
 
-def _conjugates(a: Cochain1) -> set[tuple[tuple[int, ...], ...]]:
-    """Value image tuples of every constant relabeling g^-1 a g of a cochain.
-
-    Breadth-first search under conjugation by the generators (1 2) and
-    (1 2 ... n) of Sym(n), so the cost is linear in the class size rather
-    than in |Sym(n)|.
-    """
-    n = a.degree
-    start = tuple(q.images for q in a.values)
-    if n < 2:
-        return {start}
-    # (s^-1 c s)(i) = s^-1(c(s(i))), 1-based, for s = (1 2) and s = (1 2 ... n)
-    swap = [2, 1] + list(range(3, n + 1))
-    cycle = list(range(2, n + 1)) + [1]
-    maps = [(swap, [0] + swap), (cycle, [0, n] + list(range(1, n)))]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for vals in frontier:
-            for s, s_inv in maps:
-                conj = tuple(tuple([s_inv[c[j - 1]] for j in s]) for c in vals)
-                if conj not in seen:
-                    seen.add(conj)
-                    nxt.append(conj)
-        frontier = nxt
-    return seen
+def _closest(rows: np.ndarray, targets: np.ndarray, degree: int, fixed: int,
+             total: int) -> tuple[Fraction, int]:
+    """The distance 1 - agreements/total of the first homomorphism whose
+    generator images agree most with the 0-based ``targets`` (plus ``fixed``
+    agreements elsewhere), and its index.  The counts are tabled per (Sym row,
+    generator) and read at the rows, so nothing of size H x degree is built."""
+    agree = np.full(len(rows), fixed, dtype=np.intp)
+    if len(targets):
+        table = (_sym(degree)[0][:, None, :targets.shape[1]] == targets).sum(axis=2)
+        agree += table[rows, np.arange(len(targets))].sum(axis=1)
+    k = int(np.argmax(agree))
+    return Fraction(total - int(agree[k]), total), k
 
 
-def _search(n: int, n_max: int, candidates_per_degree, refused, measure
+def _search(n: int, n_max: int, refused, measure
             ) -> tuple[Fraction, object, bool, tuple[int, ...]]:
     """Minimize a distance over the candidates of every degree in [n, n_max].
 
-    ``candidates_per_degree(N)`` lists the degree-N candidates, raising
-    GuardExceeded exactly when ``refused(N)``; ``measure(candidates)`` yields
-    ``(distance, witness, exact)`` for the candidates it measures.  Returns the
-    bound, its witness, whether every degree was searched exactly, and the
-    degrees skipped by the 1 - n/N floor of the module docstring; a skipped
-    degree that a guard would have refused still clears ``exact``.  The
-    search stops at a zero distance, which no degree can improve on, and
-    returns it as exact.
+    ``measure(N)`` returns ``(distance, witness, exact)`` for the first
+    closest degree-N candidate, with ``witness`` a thunk that builds it, and
+    raises GuardExceeded exactly when ``refused(N)``; only the returned witness
+    is built.  Returns the bound, its witness, whether every degree was
+    searched exactly, and the degrees skipped by the floor of the module
+    docstring (a refused one still clears ``exact``).  A zero distance ends
+    the search, exact.
     """
-    best = best_witness = None
+    best = make_witness = None
     exact = True
     skipped: list[int] = []
     for degree in range(n, n_max + 1):
@@ -210,45 +232,60 @@ def _search(n: int, n_max: int, candidates_per_degree, refused, measure
             exact = exact and not refused(degree)
             continue
         try:
-            candidates = candidates_per_degree(degree)
+            d, witness, d_exact = measure(degree)
         except GuardExceeded:
             exact = False
             continue
-        for d, witness, d_exact in measure(candidates):
-            exact = exact and d_exact
-            if best is None or d < best:
-                best, best_witness = d, witness
-                if best == 0:   # exact whatever the guards did: no degree goes below 0
-                    return best, best_witness, True, tuple(skipped)
+        exact = exact and d_exact
+        if best is None or d < best:
+            best, make_witness = d, witness
+            if best == 0:   # exact whatever the guards did: no degree goes below 0
+                return best, make_witness(), True, tuple(skipped)
     if best is None:
         raise GuardExceeded("no degree could be searched; raise the guards")
-    return best, best_witness, exact, tuple(skipped)
+    return best, make_witness(), exact, tuple(skipped)
 
 
-def _orbit_measure(alpha: Cochain1, align_guard: int):
-    """Distances from alpha to the relabeling orbits of candidate cochains.
+def _orbit_measure(alpha: Cochain1, generator_edges: Sequence[int], homs, align_guard: int):
+    """Distances from alpha to the relabeling orbits of tree-trivial cochains:
+    those with the images of a row of ``homs(N)`` on ``generator_edges`` and
+    the identity elsewhere.
 
-    The relabeling minimum is exact via orbit_distance; when its guard trips
-    the candidate is measured at the identity alignment and flagged inexact.
     A conjugate g^-1 cand g is cand acted on by the constant 0-cochain g, so
-    it has the same orbit and the same orbit distance.  Once a candidate is
-    measured exactly its whole conjugacy class is skipped: a later conjugate
-    could only tie, and ties keep the first minimum.  A candidate measured at
-    the identity alignment covers nothing, because that distance is not
-    orbit-invariant.
+    it could only tie, and ties keep the first minimum: only the first
+    candidate of each conjugacy class is aligned.  When the alignment guard
+    refuses a degree (it depends on the degree alone), every candidate is
+    measured at the identity alignment and the result is flagged inexact.
     """
-    def measure(candidates: Iterable[Cochain1]):
-        covered: set[tuple[tuple[int, ...], ...]] = set()
-        for cand in candidates:
-            if tuple(q.images for q in cand.values) in covered:
-                continue
-            try:
-                res = orbit_distance(alpha, cand, guard=align_guard)
-            except GuardExceeded:
-                yield cochain_distance(alpha, cand), cand, False
-            else:
-                covered |= _conjugates(cand)
-                yield res.value, res.witness, True
+    g = skeleton_of(alpha.space)
+    n, m = alpha.degree, len(g.edges)
+    a = _images(alpha.values, n)
+    positions = np.array(generator_edges, dtype=np.intp).reshape(-1) - 1
+
+    def measure(degree: int):
+        rows, total = homs(degree), m * degree
+
+        def candidates(chosen: np.ndarray) -> np.ndarray:   # (homs, edges, degree) images
+            out = np.empty((len(chosen), m, degree), dtype=np.intp)
+            out[...] = np.arange(degree)
+            if positions.size:
+                out[:, positions] = _sym(degree)[0][chosen]
+            return out
+
+        if alignment_guard_refuses(g.vertex_count, n, degree, align_guard):
+            tree_fixed = int((np.delete(a, positions, axis=0) == np.arange(n)).sum())
+            d, k = _closest(rows, a[positions], degree, tree_fixed, total)
+            return d, lambda: Cochain1(alpha.space, degree, _permutations(
+                candidates(rows[k:k + 1])[0])), False
+        reps, best = candidates(rows[_class_representatives(rows, degree)]), -1
+        for k, cand in enumerate(reps):
+            agree, flat = _orbit_agreements(g, a, cand)
+            if agree > best:
+                best, where = agree, (k, flat)
+                if agree == total:
+                    break
+        return (Fraction(total - best, total),
+                lambda: _relabeling(alpha.space, reps[where[0]], n, where[1])[1], True)
     return measure
 
 
@@ -258,19 +295,17 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
                   align_guard: int = DEFAULT_ALIGNMENT_GUARD) -> GlobalDefectResult:
     """Upper bound on the distance to the nearest valid object of degree <= n_max.
 
-    Every kind skips a degree N once the best bound found is at most the
-    floor 1 - n/N that every degree-N target obeys; the result lists those
-    degrees in ``degrees_skipped``.  Bound and witness equal those of the full
-    search, and the label keeps its meaning: a skipped degree that a guard
-    would have refused still makes the result ``heuristic``.  Every kind stops
-    at a zero bound, which no degree can improve on, and labels it exact.
+    Every kind skips the degrees that the floor of the module docstring rules
+    out and lists them in ``degrees_skipped``, and stops at a zero bound,
+    which no degree can improve on, labeled exact.  Homomorphisms stay Sym(N)
+    row indices throughout; Permutations are built for the witness only.
 
     * ``hom``:    obj = (Presentation, images); minimizes the generator-average
-      distance over every homomorphism of every degree in [n, n_max].
+      distance over every homomorphism of every degree in [n, n_max], as one
+      agreement count over all of them per degree.
     * ``cocycle``: obj = Cochain1 on a complex; candidate cocycles are the
       tree-trivial extensions of homomorphisms of the spanning-tree
-      presentation (enumerated with relators checked in one batch per
-      backtracking level), and the distance to each is minimized over all
+      presentation, and the distance to each is minimized over all
       0-cochain relabelings, which sweeps the entire cocycle set of each
       degree.  Conjugate homomorphisms give candidates in one relabeling
       orbit, so only the first candidate of each conjugacy class is aligned.
@@ -283,12 +318,20 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
         p, images = obj
         if len({q.degree for q in images}) != 1:
             raise ValueError("generator images must share one degree")
+        if len(images) != p.generator_count:
+            raise ValueError("need one image per generator")
         n = images[0].degree
         cap = n + 2 if n_max is None else n_max
+        targets = _images(images, n)
+
+        def measure(degree: int):
+            rows = _homomorphisms_cached(p, degree, hom_guard)
+            d, k = _closest(rows, targets, degree, 0, len(images) * degree)
+            return d, lambda: _permutations(_sym(degree)[0][rows[k]]), True
+
         best, wit, exact, skipped = _search(
-            n, cap, lambda degree: enumerate_homomorphisms(p, degree, guard=hom_guard),
-            lambda degree: _hom_guard_refuses(p.generator_count, degree, hom_guard),
-            lambda homs: ((_images_distance(images, phi), phi, True) for phi in homs))
+            n, cap, lambda degree: _hom_guard_refuses(p.generator_count, degree, hom_guard),
+            measure)
     elif kind == "cocycle":
         alpha: Cochain1 = obj
         x = alpha.space
@@ -298,16 +341,14 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
         cap = n + 2 if n_max is None else n_max
         fp = fundamental_presentation(x, root, tree)
 
-        def candidates(degree: int) -> list[Cochain1]:
-            homs = enumerate_homomorphisms(fp.presentation, degree, guard=hom_guard)
-            return [_tree_trivial_cochain(x, fp, f, degree) for f in homs]
-
         def refused(degree: int) -> bool:
             return (_hom_guard_refuses(fp.presentation.generator_count, degree, hom_guard)
                     or alignment_guard_refuses(vertices, n, degree, align_guard))
 
-        best, wit, exact, skipped = _search(n, cap, candidates, refused,
-                                            _orbit_measure(alpha, align_guard))
+        best, wit, exact, skipped = _search(n, cap, refused, _orbit_measure(
+            alpha, fp.generator_edges,
+            lambda degree: _homomorphisms_cached(fp.presentation, degree, hom_guard),
+            align_guard))
     elif kind == "cover":
         c, x = obj
         inner = global_defect("cocycle", covering_to_cochain(c, x), n_max, root=root,
@@ -328,14 +369,14 @@ def distance_to_coboundaries(alpha: Cochain1, n_max: int | None = None,
     """Distance from alpha to the coboundary set, searched up to degree n_max.
 
     Coboundaries of degree N are exactly the relabelings of the identity
-    cochain, so this is one orbit-distance call per degree.
+    cochain (the tree-trivial cochain without generators), so this is one
+    alignment per degree.
     """
     n, vertices = alpha.degree, skeleton_of(alpha.space).vertex_count
     cap = n + 2 if n_max is None else n_max
     best, wit, exact, _ = _search(
-        n, cap, lambda degree: [identity_cochain1(alpha.space, degree)],
-        lambda degree: alignment_guard_refuses(vertices, n, degree, align_guard),
-        _orbit_measure(alpha, align_guard))
+        n, cap, lambda degree: alignment_guard_refuses(vertices, n, degree, align_guard),
+        _orbit_measure(alpha, (), lambda degree: np.zeros((1, 0), dtype=np.intp), align_guard))
     return best, wit, exact
 
 
@@ -403,8 +444,11 @@ def _component_agreements(values: Sequence[Permutation], n: int) -> int:
 
     Maximizing sum_x |{i : values[x](i) = sigma(i)}| over sigma is an
     assignment problem on the (point, image) count matrix; integer costs keep
-    it exact.
+    it exact.  scipy is imported here, the one place that uses it, so that
+    importing permstab does not load it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.zeros((n, n), dtype=np.int64)
     for p in values:
         for i, j in enumerate(p.images, start=1):

@@ -690,6 +690,26 @@ def test_defect_global_refuses_weights(tmp_path, capsys):
     assert err == "error: global defects are unweighted; --weights is for local defects\n"
 
 
+def test_weights_file_without_the_expected_key_names_it(tmp_path, capsys):
+    fileio.save_json(FUZZ_COVER, tmp_path / "c.json")
+    fileio.save_json(FUZZ_COCHAIN, tmp_path / "a.json")
+    fileio.save_json(fileio.complex_to_dict(FUZZ_X), tmp_path / "x.json")
+    fileio.save_json(FUZZ_MATRIX, tmp_path / "m.json")
+    fileio.save_json({"mu": ["1/1"]}, tmp_path / "mu.json")
+    fileio.save_json({"nu": ["1/1"]}, tmp_path / "nu.json")
+    mu2 = 'error: weights over a complex need a "mu2" list of polygon weights\n'
+    mu = 'error: weights over relators or rows need a "mu" list\n'
+    for command in (["defect", "local"], ["test"]):
+        for kind, path in (("cocycle", "a.json"), ("cover", "c.json")):
+            code, out, err = run(capsys, *command, "--kind", kind, "--input",
+                                 str(tmp_path / path), "--complex", str(tmp_path / "x.json"),
+                                 "--weights", str(tmp_path / "mu.json"))
+            assert (code, out, err) == (1, "", mu2), (command, kind)
+        code, out, err = run(capsys, *command, "--kind", "matrix", "--input",
+                             str(tmp_path / "m.json"), "--weights", str(tmp_path / "nu.json"))
+        assert (code, out, err) == (1, "", mu), command
+
+
 def test_cover_dm_refuses_weights(tmp_path, capsys):
     fileio.save_json(FUZZ_COVER, tmp_path / "c.json")
     fileio.save_json(fileio.complex_to_dict(FUZZ_X), tmp_path / "x.json")

@@ -1,17 +1,22 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import permstab
 from permstab import instances, stability
-from permstab.cochains import (Cochain0, Cochain1, coboundary0,
+from permstab.cochains import (Cochain0, Cochain1, act0on1, coboundary0,
                                cochain_distance, cochain_norm,
                                cochain_to_covering, identity_cochain1,
                                images_to_cochain, is_coboundary, orbit_distance)
-from permstab.complexes import (Presentation, fundamental_presentation,
+from permstab.complexes import (PolygonalComplex, Presentation,
+                                fundamental_presentation, polygon_orbit,
                                 presentation_complex)
 from permstab.errors import GuardExceeded
 from permstab.graphs import Graph, edit_distance
@@ -88,15 +93,20 @@ def test_enumerate_homomorphisms_equals_brute_force(case):
     assert enumerate_homomorphisms(p, degree) == reference
 
 
-def test_conjugates_are_the_conjugacy_class():
-    torus = instances.torus_complex()
-    fp = fundamental_presentation(torus, 1)
-    for degree in (1, 2, 3, 4):
-        for h in enumerate_homomorphisms(fp.presentation, degree)[::7]:
-            cand = stability._tree_trivial_cochain(torus, fp, h, degree)
-            brute = {tuple(compose(compose(g.inverse(), q), g).images for q in cand.values)
-                     for g in all_permutations(degree)}
-            assert stability._conjugates(cand) == brute
+def test_class_representatives_are_the_first_of_each_conjugacy_class():
+    # brute force: conjugate every homomorphism by all of Sym(N) and keep the
+    # first index of each class
+    cases = [(fundamental_presentation(instances.torus_complex(), 1).presentation, 5),
+             (A3, 4), (Presentation(3, ((1, 2, -1, -2),)), 3), (Presentation(2, ()), 3)]
+    for p, top in cases:
+        for degree in range(1, top + 1):
+            homs = enumerate_homomorphisms(p, degree)
+            index = {tuple(q.images for q in h): i for i, h in enumerate(homs)}
+            first = sorted({min(index[tuple(compose(compose(g.inverse(), q), g).images
+                                            for q in h)] for g in all_permutations(degree))
+                            for h in homs})
+            rows = stability._homomorphisms_cached(p, degree, stability.DEFAULT_HOM_GUARD)
+            assert stability._class_representatives(rows, degree).tolist() == first
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +354,189 @@ def test_candidates_of_higher_degree_obey_the_floor(space, n, step, data):
         assert orbit_distance(alpha, cand, guard=10 ** 9).value >= 1 - Fraction(n, degree)
 
 
+# a complex with two vertices, two parallel edges and a loop at each vertex:
+# its alignment tensor mixes loop diagonals with tables in both orientations
+_TWO = Graph(2, ((1, 2), (2, 1), (1, 1), (2, 2)))
+TWO_VERTEX = PolygonalComplex(_TWO, (polygon_orbit(_TWO, (1, 2)),
+                                     polygon_orbit(_TWO, (3, 1, -4, -1))))
+# three parallel edges and one polygon: its two kinds of spanning tree give
+# different tree-trivial cocycles, so only the relabeling makes the defect
+# independent of the tree
+_THETA = Graph(2, ((1, 2), (1, 2), (1, 2)))
+THETA = PolygonalComplex(_THETA, (polygon_orbit(_THETA, (1, -2)),))
+
+
+def _plain_orbit_distance(alpha, cand):
+    """orbit_distance by loops over every injection tuple, in product order,
+    keeping the first maximum: the value and the injections (1-based)."""
+    g = alpha.space.skeleton
+    n, big = alpha.degree, cand.degree
+    best = best_combo = None
+    for combo in itertools.product(itertools.permutations(range(1, big + 1), n),
+                                   repeat=g.vertex_count):
+        agree = sum(combo[x - 1][a.images[i] - 1] == b.images[combo[y - 1][i] - 1]
+                    for (x, y), a, b in zip(g.edges, alpha.values, cand.values)
+                    for i in range(n))
+        if best is None or agree > best:
+            best, best_combo = agree, combo
+    m = len(g.edges)
+    return Fraction(m * big - best, m * big), best_combo
+
+
+def _values(draw, x, degree):
+    return tuple(Permutation(draw(st.permutations(range(1, degree + 1))))
+                 for _ in x.skeleton.edges)
+
+
+@st.composite
+def search_inputs(draw):
+    """A cochain of degree n on a presentation complex with one to three
+    generators or on a complex with several vertices, a cap of at most 4 and
+    an align_guard; the homomorphism count stays small enough for the
+    reference to align every candidate."""
+    if draw(st.booleans()):
+        p, _ = draw(presentations())
+        assume(p.generator_count > 0)
+        try:
+            x = presentation_complex(p)
+        except ValueError:   # a relator reduces to the empty word, or repeats
+            assume(False)
+    else:
+        x = draw(st.sampled_from([instances.triangle_complex(), TWO_VERTEX, THETA,
+                                  instances.complete_complex(4)]))
+    n = draw(st.integers(1, 2 if x.skeleton.vertex_count > 3 else 3))
+    cap = draw(st.integers(n, 4))
+    g = len(x.skeleton.edges) - x.skeleton.vertex_count + 1
+    assume(math.factorial(cap) ** g <= 1000)
+    guard = draw(st.sampled_from([stability.DEFAULT_ALIGNMENT_GUARD, 1]))
+    return Cochain1(x, n, _values(draw, x, n)), cap, guard
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_inputs())
+@example((images_to_cochain([SWAP], instances.bouquet_a3()), 4,
+          stability.DEFAULT_ALIGNMENT_GUARD))   # the closest class is not the first
+def test_array_search_equals_the_plain_references(case):
+    alpha, cap, guard = case
+    _check_floor_is_invisible(alpha, cap, guard, stability.DEFAULT_HOM_GUARD)
+    # coboundaries: the identity cochain's orbit at every degree
+    best = witness = None
+    exact = True
+    for degree in range(alpha.degree, cap + 1):
+        ident = identity_cochain1(alpha.space, degree)
+        try:
+            res = orbit_distance(alpha, ident, guard=guard)
+            d, wit = res.value, res.witness
+        except GuardExceeded:
+            exact, d, wit = False, cochain_distance(alpha, ident), ident
+        if best is None or d < best:
+            best, witness = d, wit
+        if best == 0:
+            exact = True
+            break
+    assert stability.distance_to_coboundaries(alpha, cap, guard) == (best, witness, exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_array_hom_search_equals_the_plain_reference(case, n, step, data):
+    p, _ = case
+    cap = min(n + step, 4)
+    assume(p.generator_count > 0 and math.factorial(cap) ** p.generator_count <= 1000)
+    images = tuple(Permutation(data.draw(st.permutations(range(1, n + 1))))
+                   for _ in range(p.generator_count))
+    bound, label, witness = _hom_every_degree(p, images, cap, stability.DEFAULT_HOM_GUARD)
+    res = global_defect("hom", (p, images), cap)
+    assert (res.upper_bound, res.exactness, res.witness) == (bound, label, witness)
+    assert res.degrees_skipped == (() if bound == 0 else
+                                   _floor_skips(n, cap, bound, witness[0].degree))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([instances.triangle_complex(), TWO_VERTEX, instances.torus_complex(),
+                        instances.complete_complex(4)]),
+       st.integers(1, 3), st.integers(0, 2), st.data())
+def test_orbit_distance_equals_plain_loops(x, n, step, data):
+    n = min(n, 2) if x.skeleton.vertex_count > 3 else n
+    alpha = Cochain1(x, n, _values(data.draw, x, n))
+    cand = Cochain1(x, n + step, _values(data.draw, x, n + step))
+    value, combo = _plain_orbit_distance(alpha, cand)
+    res = orbit_distance(alpha, cand)
+    assert res.value == value
+    assert tuple(q.images[:n] for q in res.beta.values) == combo
+    assert cochain_distance(alpha, res.witness) == value
+
+
+# ---------------------------------------------------------------------------
+# invariance properties: identities of the paper that need no reference
+
+
+def _spanning_trees(g):
+    for edges in itertools.combinations(range(1, len(g.edges) + 1), g.vertex_count - 1):
+        parent = list(range(g.vertex_count + 1))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+        for k in edges:
+            u, v = (find(w) for w in g.edges[k - 1])
+            if u == v:
+                break
+            parent[u] = v
+        else:
+            yield frozenset(edges)
+
+
+def _summary(res):
+    return res.upper_bound, res.exactness, res.degrees_skipped
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([instances.triangle_complex(), TWO_VERTEX, THETA,
+                        instances.complete_complex(4)]),
+       st.integers(1, 2), st.integers(0, 1), st.data())
+@example(THETA, 2, 0, None)   # a cocycle that only the tree {3} presents as tree-trivial
+def test_cocycle_defect_ignores_root_and_tree(x, n, step, data):
+    # (a): every spanning tree and root presents the same cocycle set
+    alpha = (Cochain1(x, n, (SWAP, SWAP, Permutation([1, 2]))) if data is None
+             else Cochain1(x, n, _values(data.draw, x, n)))
+    expected = _summary(global_defect("cocycle", alpha, n + step))
+    for tree in _spanning_trees(x.skeleton):
+        for root in range(1, x.skeleton.vertex_count + 1):
+            assert _summary(global_defect("cocycle", alpha, n + step, root=root,
+                                          tree=tree)) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([instances.triangle_complex(), TWO_VERTEX, THETA,
+                        instances.torus_complex(), instances.bouquet_a3()]),
+       st.integers(1, 3), st.integers(0, 1), st.data())
+def test_defects_ignore_the_zero_cochain_action(x, n, step, data):
+    # (c): b.alpha has the same local defect and the same global defect
+    alpha = Cochain1(x, n, _values(data.draw, x, n))
+    b = Cochain0(x, n, tuple(Permutation(data.draw(st.permutations(range(1, n + 1))))
+                             for _ in range(x.skeleton.vertex_count)))
+    moved = act0on1(b, alpha)
+    assert cochain_norm(moved) == cochain_norm(alpha)
+    assert _summary(global_defect("cocycle", moved, n + step)) == \
+        _summary(global_defect("cocycle", alpha, n + step))
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations(), st.integers(1, 3), st.integers(0, 1), st.data())
+def test_hom_defect_ignores_simultaneous_conjugation(case, n, step, data):
+    # (d): sigma^-1 rho sigma is as far from Hom(Gamma, Sym N) as rho is
+    p, _ = case
+    assume(p.generator_count > 0 and math.factorial(n + step) ** p.generator_count <= 1000)
+    images = tuple(Permutation(data.draw(st.permutations(range(1, n + 1))))
+                   for _ in range(p.generator_count))
+    sigma = Permutation(data.draw(st.permutations(range(1, n + 1))))
+    conj = tuple(compose(compose(sigma.inverse(), q), sigma) for q in images)
+    assert _summary(global_defect("hom", (p, conj), n + step)) == \
+        _summary(global_defect("hom", (p, images), n + step))
+
+
 def test_global_defect_witness_consistency():
     rng = np.random.default_rng(23)
     x = instances.complete_complex(4)
@@ -392,6 +585,17 @@ def test_distance_to_constants_reduction():
             Fraction(sum(hamming_distance_with_errors(v, sigma) for v in b.values), 4)
             for deg in (2, 3, 4) for sigma in all_permutations(deg))
         assert got == brute
+
+
+def test_importing_the_package_does_not_load_scipy():
+    # scipy is imported inside the one function that uses it
+    code = "import sys, permstab, permstab.cli; print('scipy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(permstab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_zero_dim_bound_examples():
