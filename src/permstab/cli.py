@@ -376,7 +376,10 @@ _FLAGS = {
                            help="fail with exit 2 instead of returning flagged bounds"),
     "--guard-hom": dict(type=int, default=DEFAULT_HOM_GUARD),
     "--guard-align": dict(type=int, default=DEFAULT_ALIGNMENT_GUARD),
-    "--guard-enum": dict(type=int, default=DEFAULT_ENUM_GUARD),
+    "--guard-enum": dict(type=int, default=DEFAULT_ENUM_GUARD,
+                         help="most cochains swept per coefficient degree k, one per "
+                              "0-cochain orbit: k!^(V-1) in dimension 0, k!^(E-V+1) "
+                              "in dimension 1"),
 }
 
 

@@ -525,6 +525,8 @@ def orbit_distance(alpha: Cochain1, candidate: Cochain1,
     g = skeleton_of(alpha.space)
     if skeleton_of(candidate.space) != g:
         raise ValueError("cochains live on different complexes")
+    if not g.edges:
+        raise ValueError("the complex has no edges, so no distance is defined")
     n, big = alpha.degree, candidate.degree
     if big < n:
         raise ValueError("candidate degree must be at least the input degree")

@@ -22,17 +22,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cochains import (Cochain0, Cochain1, _images, _orbit_agreements,
                        _permutations, _relabeling, act0on1, alignment_guard_refuses,
                        coboundary0, cochain_norm, cochain_to_covering,
-                       covering_to_cochain, edge_norm, is_coboundary,
-                       skeleton_of)
-from .complexes import (FundamentalPresentation, PolygonalComplex,
-                        Presentation, fundamental_presentation)
+                       covering_to_cochain, edge_norm, skeleton_of)
+from .complexes import PolygonalComplex, Presentation, fundamental_presentation
 from .errors import GuardExceeded
 from .graphs import DEFAULT_EDIT_GUARD  # noqa: F401  (re-exported)
 from .graphs import Graph, components, is_connected, vertex_stars
@@ -170,6 +168,18 @@ def _class_representatives(rows: np.ndarray, degree: int) -> np.ndarray:
         label = new
 
 
+def _tree_trivial(chosen: np.ndarray, free: Sequence[int], cells: int,
+                  degree: int) -> np.ndarray:
+    """0-based (len(chosen), cells, degree) images: identity on every cell
+    but the 1-based ``free`` ones, which take the _sym(degree) rows of a row
+    of ``chosen``.  Free generator edges give the tree-trivial cochains."""
+    out = np.empty((len(chosen), cells, degree), dtype=np.intp)
+    out[...] = np.arange(degree)
+    if len(free):
+        out[:, np.asarray(free, dtype=np.intp) - 1] = _sym(degree)[0][chosen]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # global defects
 
@@ -186,15 +196,6 @@ class GlobalDefectResult:
     def __post_init__(self) -> None:
         if not 0 <= self.upper_bound <= 1:
             raise ValueError("global defect must lie in [0, 1]")
-
-
-def _tree_trivial_cochain(x: PolygonalComplex, fp: FundamentalPresentation,
-                          images: Sequence[Permutation], degree: int) -> Cochain1:
-    gen_index = {k: i for i, k in enumerate(fp.generator_edges)}
-    ident = Permutation.identity(degree)
-    vals = tuple(images[gen_index[k]] if k in gen_index else ident
-                 for k in range(1, len(x.skeleton.edges) + 1))
-    return Cochain1(x, degree, vals)
 
 
 def _closest(rows: np.ndarray, targets: np.ndarray, degree: int, fixed: int,
@@ -259,25 +260,20 @@ def _orbit_measure(alpha: Cochain1, generator_edges: Sequence[int], homs, align_
     """
     g = skeleton_of(alpha.space)
     n, m = alpha.degree, len(g.edges)
+    if not m:
+        raise ValueError("the complex has no edges, so no distance is defined")
     a = _images(alpha.values, n)
     positions = np.array(generator_edges, dtype=np.intp).reshape(-1) - 1
 
     def measure(degree: int):
         rows, total = homs(degree), m * degree
-
-        def candidates(chosen: np.ndarray) -> np.ndarray:   # (homs, edges, degree) images
-            out = np.empty((len(chosen), m, degree), dtype=np.intp)
-            out[...] = np.arange(degree)
-            if positions.size:
-                out[:, positions] = _sym(degree)[0][chosen]
-            return out
-
         if alignment_guard_refuses(g.vertex_count, n, degree, align_guard):
             tree_fixed = int((np.delete(a, positions, axis=0) == np.arange(n)).sum())
             d, k = _closest(rows, a[positions], degree, tree_fixed, total)
             return d, lambda: Cochain1(alpha.space, degree, _permutations(
-                candidates(rows[k:k + 1])[0])), False
-        reps, best = candidates(rows[_class_representatives(rows, degree)]), -1
+                _tree_trivial(rows[k:k + 1], generator_edges, m, degree)[0])), False
+        reps, best = _tree_trivial(rows[_class_representatives(rows, degree)],
+                                   generator_edges, m, degree), -1
         for k, cand in enumerate(reps):
             agree, flat = _orbit_agreements(g, a, cand)
             if agree > best:
@@ -316,6 +312,8 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
     """
     if kind == "hom":
         p, images = obj
+        if not images:
+            raise ValueError("need at least one generator image to fix the degree")
         if len({q.degree for q in images}) != 1:
             raise ValueError("generator images must share one degree")
         if len(images) != p.generator_count:
@@ -526,18 +524,6 @@ def _classical_cheeger(g: Graph) -> CheegerReport:
     return CheegerReport(0, "classical", 0, best, best_set)
 
 
-def _zero_cochains(space, degree: int) -> Iterable[Cochain0]:
-    g = skeleton_of(space)
-    for combo in itertools.product(list(all_permutations(degree)), repeat=g.vertex_count):
-        yield Cochain0(space, degree, combo)
-
-
-def _one_cochains(space, degree: int) -> Iterable[Cochain1]:
-    g = skeleton_of(space)
-    for combo in itertools.product(list(all_permutations(degree)), repeat=len(g.edges)):
-        yield Cochain1(space, degree, combo)
-
-
 def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
             variant: str = "cocycle", coeff_cap: int = 2, *,
             enum_guard: int = DEFAULT_ENUM_GUARD,
@@ -547,11 +533,18 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
 
     ``classical`` is the exact edge-expansion minimum over vertex subsets, in
     dimension 0 only.
-    The dimension 0/1 variants enumerate all cochains with coefficients
+    The dimension 0/1 variants minimize over cochains with coefficients
     Sym(2)..Sym(coeff_cap); with a finite coefficient cap the result is an
-    upper bound on the infimum over all permutation coefficients.  Dimension-1
-    distances search target degrees up to degree + 2, global_defect's default;
-    ``exactness`` is ``heuristic`` when any of those searches tripped a guard.
+    upper bound on the infimum over all permutation coefficients.  Both sides
+    of every ratio are invariant under the 0-cochain action, so one cochain
+    per orbit is swept, in product order, and ``enum_guard`` bounds their
+    count per degree k: in dimension 0 the cochains with b(1) = id, k!^(V-1);
+    in dimension 1 the tree-trivial cochains over the spanning tree of
+    ``fundamental_presentation(space)``, k!^(E-V+1), which needs a connected
+    skeleton.  The witness is the first minimizing representative.
+    Dimension-1 distances search target degrees up to degree + 2,
+    global_defect's default; ``exactness`` is ``heuristic`` when any of those
+    searches tripped a guard.
     """
     if variant == "classical":
         if dimension != 0:
@@ -564,46 +557,39 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
     if coeff_cap < 2:
         raise ValueError("coefficient cap must be at least 2")
     g = skeleton_of(space)
-    if dimension == 1 and (not isinstance(space, PolygonalComplex) or not space.polygons):
+    if dimension == 0:
+        cells, free = g.vertex_count, range(2, g.vertex_count + 1)
+    elif not isinstance(space, PolygonalComplex) or not space.polygons:
         raise ValueError("dimension-1 Cheeger constants need polygons")
+    else:
+        cells, free = len(g.edges), fundamental_presentation(space).generator_edges
     best: Fraction | None = None
     best_witness = None
     exact = True
     for degree in range(2, coeff_cap + 1):
-        cells = g.vertex_count if dimension == 0 else len(g.edges)
-        if math.factorial(degree) ** cells > enum_guard:
-            raise GuardExceeded(f"{math.factorial(degree)}^{cells} cochains exceed guard")
-        if dimension == 0:
-            for a in _zero_cochains(space, degree):
-                num = edge_norm(coboundary0(a))
-                if variant == "cocycle":
-                    if num == 0:
-                        continue
-                    den = distance_to_constants(a, per_component=True)
-                else:
-                    den = distance_to_constants(a, per_component=False)
-                    if den == 0:
-                        continue  # a is a coboundary
-                ratio = num / den
-                if best is None or ratio < best:
-                    best, best_witness = ratio, a
-        else:
-            for a in _one_cochains(space, degree):
-                num = cochain_norm(a)
-                if variant == "cocycle":
-                    if num == 0:
-                        continue
-                    res = global_defect("cocycle", a, degree + 2, hom_guard=hom_guard,
-                                        align_guard=align_guard)
-                    den, den_exact = res.upper_bound, res.exactness == "exact-within-cap"
-                else:
-                    if is_coboundary(a)[0]:
-                        continue
-                    den, _, den_exact = distance_to_coboundaries(a, degree + 2, align_guard)
+        if math.factorial(degree) ** len(free) > enum_guard:
+            raise GuardExceeded(
+                f"{math.factorial(degree)}^{len(free)} orbit representatives exceed guard")
+        for chosen in itertools.product(range(math.factorial(degree)), repeat=len(free)):
+            values = _permutations(_tree_trivial(np.array([chosen], dtype=np.intp), free,
+                                                 cells, degree)[0])
+            a = (Cochain0 if dimension == 0 else Cochain1)(space, degree, values)
+            num = edge_norm(coboundary0(a)) if dimension == 0 else cochain_norm(a)
+            # a cocycle, or the identity: the one coboundary among the representatives
+            if (num == 0) if variant == "cocycle" else not any(chosen):
+                continue
+            if dimension == 0:
+                den = distance_to_constants(a, per_component=variant == "cocycle")
+            elif variant == "cocycle":
+                res = global_defect("cocycle", a, degree + 2, hom_guard=hom_guard,
+                                    align_guard=align_guard)
+                den, exact = res.upper_bound, exact and res.exactness == "exact-within-cap"
+            else:
+                den, _, den_exact = distance_to_coboundaries(a, degree + 2, align_guard)
                 exact = exact and den_exact
-                ratio = num / den
-                if best is None or ratio < best:
-                    best, best_witness = ratio, a
+            ratio = num / den
+            if best is None or ratio < best:
+                best, best_witness = ratio, a
     if best is None:
         raise ValueError("no admissible cochain; the constant is an empty infimum")
     return CheegerReport(dimension, variant, coeff_cap, best, best_witness,
@@ -661,10 +647,11 @@ def h1_vanishing_check(x: PolygonalComplex, n_cap: int, *, root: int = 1,
     fp = fundamental_presentation(x, root, tree)
     reports = []
     for degree in range(2, n_cap + 1):
-        homs = enumerate_homomorphisms(fp.presentation, degree, guard=hom_guard)
-        nontrivial = [f for f in homs if not all(p.is_identity() for p in f)]
-        witness = _tree_trivial_cochain(x, fp, nontrivial[0], degree) if nontrivial else None
-        reports.append(H1Report(degree, not nontrivial, len(homs), len(nontrivial), witness))
+        rows = _homomorphisms_cached(fp.presentation, degree, hom_guard)
+        nontrivial = rows[rows.any(axis=1)]   # row 0 of _sym is the identity
+        witness = None if not len(nontrivial) else Cochain1(x, degree, _permutations(
+            _tree_trivial(nontrivial[:1], fp.generator_edges, len(x.skeleton.edges), degree)[0]))
+        reports.append(H1Report(degree, not len(nontrivial), len(rows), len(nontrivial), witness))
     return tuple(reports)
 
 
@@ -722,20 +709,18 @@ def stability_profile(obj: PolygonalComplex | Presentation, degree_n: int,
     """
     cap = degree_n + 2 if n_max is None else n_max
     kind = "cocycle" if isinstance(obj, PolygonalComplex) else "hom"
-    if kind == "cocycle":
-        fp = fundamental_presentation(obj, root)
-        homs = enumerate_homomorphisms(fp.presentation, degree_n, guard=hom_guard)
-    else:
-        homs = enumerate_homomorphisms(obj, degree_n, guard=hom_guard)
+    fp = fundamental_presentation(obj, root) if kind == "cocycle" else None
+    homs = _homomorphisms_cached(fp.presentation if fp else obj, degree_n, hom_guard)
     rows = []
     row_index = 0
     for level in corruption_grid:
         for sample in range(samples):
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(entropy=seed, spawn_key=(row_index,))))
-            base = homs[int(rng.integers(len(homs)))]
+            base = homs[int(rng.integers(len(homs)))]   # _sym(degree_n) rows
             if kind == "cocycle":
-                start = _tree_trivial_cochain(obj, fp, base, degree_n)
+                start = Cochain1(obj, degree_n, _permutations(_tree_trivial(
+                    base[None], fp.generator_edges, len(obj.skeleton.edges), degree_n)[0]))
                 beta = Cochain0(obj, degree_n,
                                 tuple(random_permutation(degree_n, rng)
                                       for _ in range(obj.skeleton.vertex_count)))
@@ -746,7 +731,8 @@ def stability_profile(obj: PolygonalComplex | Presentation, degree_n: int,
                 res = global_defect("cocycle", corrupted, cap, root=root,
                                     hom_guard=hom_guard, align_guard=align_guard)
             else:
-                corrupted_imgs = _corrupt_values(base, level, degree_n, rng)
+                corrupted_imgs = _corrupt_values(_permutations(_sym(degree_n)[0][base]),
+                                                 level, degree_n, rng)
                 local = hom_local_defect(obj, corrupted_imgs).value
                 res = global_defect("hom", (obj, corrupted_imgs), cap,
                                     hom_guard=hom_guard)

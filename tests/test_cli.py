@@ -189,13 +189,27 @@ def test_cheeger_json_carries_the_label(tmp_path, capsys):
     code, out, _ = run(capsys, *argv, "--guard-align", "1")
     assert code == 0
     assert json.loads(out) == {"coeff_cap": 2, "dimension": 1, "exactness": "heuristic",
-                               "value": "1/1", "variant": "cocycle"}
+                               "value": "3/1", "variant": "cocycle"}
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert json.loads(out)["exactness"] == "exact-within-cap"
     assert json.loads(out)["value"] == "3/1"
     code, _, err = run(capsys, *argv, "--guard-align", "1", "--no-heuristic")
     assert code == 2 and "--no-heuristic" in err
+
+
+def test_cheeger_dim1_on_a_disconnected_skeleton_exits_1(tmp_path, capsys):
+    # the sweep runs over the tree-trivial cochains of one spanning tree
+    from permstab.complexes import PolygonalComplex, polygon_orbit
+    from permstab.graphs import Graph
+
+    g = Graph(6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)))
+    x = PolygonalComplex(g, (polygon_orbit(g, (1, 2, 3)), polygon_orbit(g, (4, 5, 6))))
+    fileio.save_json(fileio.complex_to_dict(x), tmp_path / "two.json")
+    for variant in ("cocycle", "coboundary"):
+        code, _, err = run(capsys, "cheeger", "--input", str(tmp_path / "two.json"),
+                           "--dimension", "1", "--variant", variant)
+        assert code == 1 and "disconnected" in err
 
 
 def test_weights_subcommand(tmp_path, capsys):

@@ -13,7 +13,7 @@ import permstab
 from permstab import instances, stability
 from permstab.cochains import (Cochain0, Cochain1, act0on1, coboundary0,
                                cochain_distance, cochain_norm,
-                               cochain_to_covering, identity_cochain1,
+                               cochain_to_covering, edge_norm, identity_cochain1,
                                images_to_cochain, is_coboundary, orbit_distance)
 from permstab.complexes import (PolygonalComplex, Presentation,
                                 fundamental_presentation, polygon_orbit,
@@ -180,6 +180,14 @@ def test_global_defect_heuristic_flag_on_guard():
     assert res.upper_bound >= exact.upper_bound
 
 
+def _tree_trivial_cochain(x, fp, images, degree):
+    """The cochain with the given generator images and identity on tree edges."""
+    gen_index = {k: i for i, k in enumerate(fp.generator_edges)}
+    ident = Permutation.identity(degree)
+    return Cochain1(x, degree, tuple(images[gen_index[k]] if k in gen_index else ident
+                                     for k in range(1, len(x.skeleton.edges) + 1)))
+
+
 def _align_every_candidate(alpha, cap, align_guard,
                            hom_guard=stability.DEFAULT_HOM_GUARD):
     """global_defect("cocycle") without skipping conjugate candidates or degrees."""
@@ -194,7 +202,7 @@ def _align_every_candidate(alpha, cap, align_guard,
             exact = False
             continue
         for h in homs:
-            cand = stability._tree_trivial_cochain(x, fp, h, degree)
+            cand = _tree_trivial_cochain(x, fp, h, degree)
             try:
                 res = orbit_distance(alpha, cand, guard=align_guard)
                 d, wit = res.value, res.witness
@@ -333,6 +341,23 @@ def test_zero_bound_through_the_identity_alignment_is_exact():
     assert (res.upper_bound, res.exactness) == (0, "exact-within-cap")
 
 
+def test_distances_on_a_complex_without_edges_are_refused():
+    # every edge-average distance divides by the edge count
+    x = PolygonalComplex(Graph(1, ()), ())
+    a = Cochain1(x, 2, ())
+    for call in (lambda: orbit_distance(a, a),
+                 lambda: stability.distance_to_coboundaries(a),
+                 lambda: global_defect("cocycle", a),
+                 lambda: global_defect("cover", (cochain_to_covering(a), x))):
+        with pytest.raises(ValueError, match="no edges"):
+            call()
+
+
+def test_hom_defect_without_images_names_the_missing_degree():
+    with pytest.raises(ValueError, match="need at least one generator image"):
+        global_defect("hom", (Presentation(0, ()), ()))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(instances.bouquet_a3, 3), (instances.triangle_complex, 3),
                         (instances.torus_complex, 3), (lambda: instances.complete_complex(4), 2)]),
@@ -350,7 +375,7 @@ def test_candidates_of_higher_degree_obey_the_floor(space, n, step, data):
     alpha = Cochain1(x, n, values)
     homs = enumerate_homomorphisms(fp.presentation, degree, guard=10 ** 9)
     for i in data.draw(st.lists(st.integers(0, len(homs) - 1), min_size=1, max_size=3)):
-        cand = stability._tree_trivial_cochain(x, fp, homs[i], degree)
+        cand = _tree_trivial_cochain(x, fp, homs[i], degree)
         assert orbit_distance(alpha, cand, guard=10 ** 9).value >= 1 - Fraction(n, degree)
 
 
@@ -537,6 +562,35 @@ def test_hom_defect_ignores_simultaneous_conjugation(case, n, step, data):
         _summary(global_defect("hom", (p, images), n + step))
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([THETA, instances.complete_complex(4), instances.torus_complex(),
+                        TWO_VERTEX]), st.data())
+def test_homomorphism_count_ignores_root_and_tree(x, data):
+    # (b): every spanning tree and root presents the same fundamental group
+    tree = data.draw(st.sampled_from(list(_spanning_trees(x.skeleton))))
+    root = data.draw(st.integers(1, x.skeleton.vertex_count))
+    expected = [(r.homomorphism_count, r.nontrivial_count) for r in h1_vanishing_check(x, 4)]
+    assert [(r.homomorphism_count, r.nontrivial_count)
+            for r in h1_vanishing_check(x, 4, root=root, tree=tree)] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations(), st.integers(1, 3), st.integers(0, 1), st.data())
+def test_cocycle_defect_on_the_presentation_complex_is_the_hom_defect(case, n, step, data):
+    # (e): on a one-vertex complex the tree-trivial cocycles are the
+    # homomorphisms and the 0-cochain action is simultaneous conjugation
+    p, _ = case
+    assume(p.generator_count > 0 and math.factorial(n + step) ** p.generator_count <= 1000)
+    try:
+        x = presentation_complex(p)
+    except ValueError:   # a relator reduces to the empty word, or repeats
+        assume(False)
+    images = tuple(Permutation(data.draw(st.permutations(range(1, n + 1))))
+                   for _ in range(p.generator_count))
+    assert _summary(global_defect("cocycle", images_to_cochain(images, x), n + step)) == \
+        _summary(global_defect("hom", (p, images), n + step))
+
+
 def test_global_defect_witness_consistency():
     rng = np.random.default_rng(23)
     x = instances.complete_complex(4)
@@ -669,16 +723,85 @@ def test_cheeger_dim1_coboundary_torus_vanishes():
 
 def test_cheeger_labels_a_guarded_denominator_heuristic():
     # with align_guard=1 every distance falls back to identity alignment,
-    # which overstates the denominator and understates the ratio
+    # which may overstate the denominator and understate the ratio; on the
+    # triangle's tree-trivial cochains it happens to give the exact value,
+    # but the label cannot know that
     x = instances.triangle_complex()
     guarded = cheeger(x, 1, "cocycle", 2, align_guard=1)
-    assert (guarded.value, guarded.exactness) == (1, "heuristic")
+    assert (guarded.value, guarded.exactness) == (3, "heuristic")
     exact = cheeger(x, 1, "cocycle", 2)
     assert (exact.value, exact.exactness) == (3, "exact-within-cap")
     for rep in (cheeger(x, 1, "coboundary", 2),
                 cheeger(instances.complete_graph(4), variant="classical"),
                 cheeger(instances.cycle_graph(4), 0, "cocycle", 2)):
         assert rep.exactness == "exact-within-cap"
+
+
+def _cheeger_every_cochain(space, dimension, variant, cap):
+    """cheeger over every cochain of every degree in product order, keeping
+    the first minimum: the value, its label and its witness."""
+    g = space.skeleton if isinstance(space, PolygonalComplex) else space
+    best = witness = None
+    exact = True
+    for degree in range(2, cap + 1):
+        cells = g.vertex_count if dimension == 0 else len(g.edges)
+        for combo in itertools.product(all_permutations(degree), repeat=cells):
+            if dimension == 0:
+                a = Cochain0(space, degree, combo)
+                num = edge_norm(coboundary0(a))
+                den = distance_to_constants(a, per_component=variant == "cocycle")
+                if (num if variant == "cocycle" else den) == 0:
+                    continue
+            else:
+                a = Cochain1(space, degree, combo)
+                num = cochain_norm(a)
+                if variant == "cocycle":
+                    if num == 0:
+                        continue
+                    res = global_defect("cocycle", a, degree + 2)
+                    den, den_exact = res.upper_bound, res.exactness == "exact-within-cap"
+                else:
+                    if is_coboundary(a)[0]:
+                        continue
+                    den, _, den_exact = stability.distance_to_coboundaries(a, degree + 2)
+                exact = exact and den_exact
+            if best is None or num / den < best:
+                best, witness = num / den, a
+    return best, "exact-within-cap" if exact else "heuristic", witness
+
+
+def _cheeger_ratio(w, variant):
+    """The ratio of one cochain, recomputed."""
+    if isinstance(w, Cochain0):
+        den = distance_to_constants(w, per_component=variant == "cocycle")
+        return edge_norm(coboundary0(w)) / den
+    den = (global_defect("cocycle", w, w.degree + 2).upper_bound if variant == "cocycle"
+           else stability.distance_to_coboundaries(w, w.degree + 2)[0])
+    return cochain_norm(w) / den
+
+
+@pytest.mark.parametrize("space,dimension,cap", [
+    (instances.triangle_complex(), 1, 3), (instances.torus_complex(), 1, 3),
+    (instances.bouquet_a3(), 1, 3), (instances.complete_complex(4), 1, 2),
+    (instances.complete_graph(4), 0, 3), (instances.cycle_graph(5), 0, 3),
+    (Graph(4, ((1, 2), (3, 4))), 0, 3)])
+@pytest.mark.parametrize("variant", ["cocycle", "coboundary"])
+def test_cheeger_sweep_equals_every_cochain(space, dimension, cap, variant):
+    # one cochain per 0-cochain orbit gives the minimum over all of them
+    value, label, witness = _cheeger_every_cochain(space, dimension, variant, cap)
+    rep = cheeger(space, dimension, variant, cap)
+    assert (rep.value, rep.exactness) == (value, label)
+    assert _cheeger_ratio(rep.witness, variant) == rep.value
+    if dimension == 0:   # the cochains with b(1) = id come first in product order
+        assert rep.witness == witness
+
+
+def test_cheeger_dim1_needs_a_connected_skeleton():
+    g = Graph(6, ((1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)))
+    x = PolygonalComplex(g, (polygon_orbit(g, (1, 2, 3)), polygon_orbit(g, (4, 5, 6))))
+    for variant in ("cocycle", "coboundary"):
+        with pytest.raises(ValueError, match="disconnected"):
+            cheeger(x, 1, variant, 2)
 
 
 def test_cheeger_guard():
@@ -722,7 +845,7 @@ def test_h1_verdicts_match_coboundary_propagation():
         fp = fundamental_presentation(x, 1)
         for rep in h1_vanishing_check(x, 3):
             homs = enumerate_homomorphisms(fp.presentation, rep.degree)
-            candidates = [stability._tree_trivial_cochain(x, fp, f, rep.degree) for f in homs]
+            candidates = [_tree_trivial_cochain(x, fp, f, rep.degree) for f in homs]
             assert rep.vanishes == all(is_coboundary(c)[0] for c in candidates), name
             assert rep.homomorphism_count == len(homs)
             assert rep.vanishes == (rep.witness is None)
