@@ -306,11 +306,23 @@ def cmd_equiv(args) -> int:
     return 1 if failed else 0
 
 
+# the --params keys each family reads, in the order of --family's choices
+_FAMILY_PARAMS = {"bouquet": ("relators", "generators"), "cycle": ("n",),
+                  "complete-complex": ("d",), "torus": (), "balanced-cut": ("d",),
+                  "remark64": ("d",), "random": ("d", "n", "target", "tol")}
+
+
 def cmd_generate(args) -> int:
+    family = args.family
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ValueError("--params must be a JSON object")
+    for key in params:
+        if key not in _FAMILY_PARAMS[family]:
+            raise ValueError(f"family {family} takes no parameter {key!r}; it accepts "
+                             f"{', '.join(_FAMILY_PARAMS[family]) or 'none'}")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    family = args.family
     written: list[Path] = []
 
     def save(name: str, payload: dict) -> None:
@@ -320,19 +332,24 @@ def cmd_generate(args) -> int:
 
     if family == "bouquet":
         relators = params.get("relators", [[1, 1, 1]])
-        gens = params.get("generators")
+        if not isinstance(relators, list):
+            raise ValueError(f"parameter relators must be a list, got {relators!r}")
+        relators = [fileio._int_list(r, "relator %d", i)
+                    for i, r in enumerate(relators, start=1)]
+        gens = (fileio._int(params["generators"], "parameter generators")
+                if "generators" in params else None)
         x = instances.bouquet_complex(relators, gens)
         save("bouquet.json", fileio.complex_to_dict(x))
     elif family == "cycle":
-        n = int(params.get("n", 4))
+        n = fileio._int(params.get("n", 4), "parameter n")
         save(f"cycle-{n}.json", fileio.graph_to_dict(instances.cycle_graph(n)))
     elif family == "complete-complex":
-        d = int(params.get("d", 4))
+        d = fileio._int(params.get("d", 4), "parameter d")
         save(f"complete-{d}.json", fileio.complex_to_dict(instances.complete_complex(d)))
     elif family == "torus":
         save("torus.json", fileio.complex_to_dict(instances.torus_complex()))
     elif family in ("balanced-cut", "remark64"):
-        d = int(params.get("d", 6))
+        d = fileio._int(params.get("d", 6), "parameter d")
         ci = instances.cut_instance(d)
         save(f"cut-{d}-complex.json", fileio.complex_to_dict(ci.complex))
         save(f"cut-{d}-cochain.json", fileio.cochain1_to_dict(ci.cochain))
@@ -341,8 +358,8 @@ def cmd_generate(args) -> int:
             "presentation": fileio.presentation_to_dict(ci.presentation),
             "images": [list(p.images) for p in ci.images]})
     elif family == "random":
-        d = int(params.get("d", 4))
-        n = int(params.get("n", 2))
+        d = fileio._int(params.get("d", 4), "parameter d")
+        n = fileio._int(params.get("n", 2), "parameter n")
         target = fileio.frac_from_str(params.get("target", "1/4"))
         tol = fileio.frac_from_str(params.get("tol", "1/10"))
         x = instances.complete_complex(d)
@@ -354,8 +371,6 @@ def cmd_generate(args) -> int:
         save("random-meta.json", {"seed": args.seed,
                                   "target": fileio.frac_to_str(target),
                                   "exact_defect": fileio.frac_to_str(achieved)})
-    else:
-        raise ValueError(f"unknown family {family!r}")
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -468,9 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("generate", help="write bundled instance families")
-    p.add_argument("--family", required=True,
-                   choices=("bouquet", "cycle", "complete-complex", "torus",
-                            "balanced-cut", "remark64", "random"))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILY_PARAMS))
     p.add_argument("--params", help="JSON parameter object")
     p.add_argument("--output-dir", default=".")
     _add_common(p, "--seed")

@@ -420,12 +420,12 @@ def cochain_to_images(a: Cochain1) -> tuple[Permutation, ...]:
 # coboundary membership and orbit distance
 
 
-def is_coboundary(a: Cochain1, root: int = 1) -> tuple[bool, Cochain0 | None]:
+def is_coboundary(a: Cochain1) -> tuple[bool, Cochain0 | None]:
     """Decide whether a = delta b for some 0-cochain b, returning a witness.
 
-    If a solution exists there is one with b(root) = Id on each component:
-    propagate b along any spanning structure and check consistency on the
-    remaining edges.  Linear time, no search.
+    If a solution exists, the witness is the one with b = Id at the smallest
+    vertex of each component: b is propagated outward from that vertex, and
+    consistency is checked on the remaining edges.  Linear time, no search.
     """
     g = skeleton_of(a.space)
     n = a.degree

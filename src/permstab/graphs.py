@@ -13,7 +13,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import GuardExceeded
@@ -40,7 +39,6 @@ def terminus(g: Graph, s: int) -> int:
     return v if s > 0 else u
 
 
-@lru_cache(maxsize=None)
 def vertex_stars(g: Graph) -> tuple[tuple[int, ...], ...]:
     """stars[v-1] = signed edges s with terminus(s) == v, ascending by (id, sign)."""
     stars: list[list[int]] = [[] for _ in range(g.vertex_count)]

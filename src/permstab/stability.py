@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -222,8 +222,10 @@ def _search(n: int, n_max: int, refused, measure
     is built.  Returns the bound, its witness, whether every degree was
     searched exactly, and the degrees skipped by the floor of the module
     docstring (a refused one still clears ``exact``).  A zero distance ends
-    the search, exact.
+    the search, exact.  ``n_max < n`` raises ValueError, not GuardExceeded.
     """
+    if n_max < n:
+        raise ValueError(f"n_max {n_max} is below the input degree {n}")
     best = make_witness = None
     exact = True
     skipped: list[int] = []
@@ -247,10 +249,16 @@ def _search(n: int, n_max: int, refused, measure
     return best, make_witness(), exact, tuple(skipped)
 
 
-def _orbit_measure(alpha: Cochain1, generator_edges: Sequence[int], homs, align_guard: int):
-    """Distances from alpha to the relabeling orbits of tree-trivial cochains:
-    those with the images of a row of ``homs(N)`` on ``generator_edges`` and
-    the identity elsewhere.
+_TRIVIAL = Presentation(0, ())   # one homomorphism: the identity cochain's orbit
+
+
+def _orbit_search(alpha: Cochain1, presentation: Presentation,
+                  generator_edges: Sequence[int], n_max: int, hom_guard: int,
+                  align_guard: int) -> tuple[Fraction, Cochain1, bool, tuple[int, ...]]:
+    """``_search`` over the relabeling orbits of tree-trivial cochains: those
+    with the images of a homomorphism of ``presentation`` on
+    ``generator_edges`` and the identity elsewhere.  A degree is refused when
+    either guard refuses it.
 
     A conjugate g^-1 cand g is cand acted on by the constant 0-cochain g, so
     it could only tie, and ties keep the first minimum: only the first
@@ -265,8 +273,12 @@ def _orbit_measure(alpha: Cochain1, generator_edges: Sequence[int], homs, align_
     a = _images(alpha.values, n)
     positions = np.array(generator_edges, dtype=np.intp).reshape(-1) - 1
 
+    def refused(degree: int) -> bool:
+        return (_hom_guard_refuses(presentation.generator_count, degree, hom_guard)
+                or alignment_guard_refuses(g.vertex_count, n, degree, align_guard))
+
     def measure(degree: int):
-        rows, total = homs(degree), m * degree
+        rows, total = _homomorphisms_cached(presentation, degree, hom_guard), m * degree
         if alignment_guard_refuses(g.vertex_count, n, degree, align_guard):
             tree_fixed = int((np.delete(a, positions, axis=0) == np.arange(n)).sum())
             d, k = _closest(rows, a[positions], degree, tree_fixed, total)
@@ -282,7 +294,7 @@ def _orbit_measure(alpha: Cochain1, generator_edges: Sequence[int], homs, align_
                     break
         return (Fraction(total - best, total),
                 lambda: _relabeling(alpha.space, reps[where[0]], n, where[1])[1], True)
-    return measure
+    return _search(n, n_max, refused, measure)
 
 
 def global_defect(kind: str, obj, n_max: int | None = None, *,
@@ -294,21 +306,22 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
     Every kind skips the degrees that the floor of the module docstring rules
     out and lists them in ``degrees_skipped``, and stops at a zero bound,
     which no degree can improve on, labeled exact.  Homomorphisms stay Sym(N)
-    row indices throughout; Permutations are built for the witness only.
+    row indices throughout; Permutations are built for the witness only.  An
+    ``n_max`` below the input degree raises ValueError.
 
     * ``hom``:    obj = (Presentation, images); minimizes the generator-average
       distance over every homomorphism of every degree in [n, n_max], as one
       agreement count over all of them per degree.
-    * ``cocycle``: obj = Cochain1 on a complex; candidate cocycles are the
-      tree-trivial extensions of homomorphisms of the spanning-tree
-      presentation, and the distance to each is minimized over all
-      0-cochain relabelings, which sweeps the entire cocycle set of each
+    * ``cocycle``: obj = Cochain1 on a complex; one ``_orbit_search`` whose
+      candidate cocycles are the tree-trivial extensions of homomorphisms of
+      the spanning-tree presentation; the distance to each is minimized over
+      all 0-cochain relabelings, which sweeps the entire cocycle set of each
       degree.  Conjugate homomorphisms give candidates in one relabeling
       orbit, so only the first candidate of each conjugacy class is aligned.
-    * ``cover``:  obj = (Covering, PolygonalComplex); runs the cocycle search
-      on the encoding cochain and returns the witness as a covering.  The
-      bound is the edit distance to that covering (checked by the tests and
-      by ``permstab equiv``).
+    * ``cover``:  obj = (Covering, PolygonalComplex); the cocycle result on the
+      encoding cochain, with the witness as a covering.  The bound is the edit
+      distance to that covering (checked by the tests and by ``permstab
+      equiv``).
     """
     if kind == "hom":
         p, images = obj
@@ -331,30 +344,17 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
             n, cap, lambda degree: _hom_guard_refuses(p.generator_count, degree, hom_guard),
             measure)
     elif kind == "cocycle":
-        alpha: Cochain1 = obj
-        x = alpha.space
-        if not isinstance(x, PolygonalComplex):
+        if not isinstance(obj.space, PolygonalComplex):
             raise ValueError("cocycle global defect needs a polygonal complex")
-        n, vertices = alpha.degree, x.skeleton.vertex_count
-        cap = n + 2 if n_max is None else n_max
-        fp = fundamental_presentation(x, root, tree)
-
-        def refused(degree: int) -> bool:
-            return (_hom_guard_refuses(fp.presentation.generator_count, degree, hom_guard)
-                    or alignment_guard_refuses(vertices, n, degree, align_guard))
-
-        best, wit, exact, skipped = _search(n, cap, refused, _orbit_measure(
-            alpha, fp.generator_edges,
-            lambda degree: _homomorphisms_cached(fp.presentation, degree, hom_guard),
-            align_guard))
+        cap = obj.degree + 2 if n_max is None else n_max
+        fp = fundamental_presentation(obj.space, root, tree)
+        best, wit, exact, skipped = _orbit_search(obj, fp.presentation, fp.generator_edges,
+                                                  cap, hom_guard, align_guard)
     elif kind == "cover":
         c, x = obj
         inner = global_defect("cocycle", covering_to_cochain(c, x), n_max, root=root,
                               tree=tree, hom_guard=hom_guard, align_guard=align_guard)
-        return GlobalDefectResult("cover", inner.upper_bound,
-                                  cochain_to_covering(inner.witness),
-                                  inner.n_max_searched, inner.exactness,
-                                  inner.degrees_skipped)
+        return replace(inner, kind="cover", witness=cochain_to_covering(inner.witness))
     else:
         raise ValueError(f"unknown global defect kind {kind!r}")
     return GlobalDefectResult(kind, best, wit, cap,
@@ -367,15 +367,11 @@ def distance_to_coboundaries(alpha: Cochain1, n_max: int | None = None,
     """Distance from alpha to the coboundary set, searched up to degree n_max.
 
     Coboundaries of degree N are exactly the relabelings of the identity
-    cochain (the tree-trivial cochain without generators), so this is one
-    alignment per degree.
+    cochain, the tree-trivial extension of the one homomorphism of
+    ``_TRIVIAL``, so this is one ``_orbit_search``: one alignment per degree.
     """
-    n, vertices = alpha.degree, skeleton_of(alpha.space).vertex_count
-    cap = n + 2 if n_max is None else n_max
-    best, wit, exact, _ = _search(
-        n, cap, lambda degree: alignment_guard_refuses(vertices, n, degree, align_guard),
-        _orbit_measure(alpha, (), lambda degree: np.zeros((1, 0), dtype=np.intp), align_guard))
-    return best, wit, exact
+    cap = alpha.degree + 2 if n_max is None else n_max
+    return _orbit_search(alpha, _TRIVIAL, (), cap, DEFAULT_HOM_GUARD, align_guard)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +539,8 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
     ``fundamental_presentation(space)``, k!^(E-V+1), which needs a connected
     skeleton.  The witness is the first minimizing representative.
     Dimension-1 distances search target degrees up to degree + 2,
-    global_defect's default; ``exactness`` is ``heuristic`` when any of those
-    searches tripped a guard.
+    global_defect's default, the cocycle variant over that same presentation;
+    ``exactness`` is ``heuristic`` when any of those searches tripped a guard.
     """
     if variant == "classical":
         if dimension != 0:
@@ -562,7 +558,8 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
     elif not isinstance(space, PolygonalComplex) or not space.polygons:
         raise ValueError("dimension-1 Cheeger constants need polygons")
     else:
-        cells, free = len(g.edges), fundamental_presentation(space).generator_edges
+        fp = fundamental_presentation(space)
+        cells, free = len(g.edges), fp.generator_edges
     best: Fraction | None = None
     best_witness = None
     exact = True
@@ -580,12 +577,11 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
                 continue
             if dimension == 0:
                 den = distance_to_constants(a, per_component=variant == "cocycle")
-            elif variant == "cocycle":
-                res = global_defect("cocycle", a, degree + 2, hom_guard=hom_guard,
-                                    align_guard=align_guard)
-                den, exact = res.upper_bound, exact and res.exactness == "exact-within-cap"
             else:
-                den, _, den_exact = distance_to_coboundaries(a, degree + 2, align_guard)
+                den, _, den_exact = (
+                    _orbit_search(a, fp.presentation, free, degree + 2, hom_guard,
+                                  align_guard)[:3] if variant == "cocycle"
+                    else distance_to_coboundaries(a, degree + 2, align_guard))
                 exact = exact and den_exact
             ratio = num / den
             if best is None or ratio < best:
@@ -642,6 +638,8 @@ def h1_vanishing_check(x: PolygonalComplex, n_cap: int, *, root: int = 1,
     vanishes at degree N exactly when the only homomorphism is the trivial
     one; the witness is the extension of the first nontrivial homomorphism.
     """
+    if n_cap < 2:
+        raise ValueError(f"n_cap {n_cap} is below 2, so no degree can be checked")
     if not is_connected(x.skeleton):
         raise ValueError("complex is disconnected")
     fp = fundamental_presentation(x, root, tree)
@@ -704,9 +702,12 @@ def stability_profile(obj: PolygonalComplex | Presentation, degree_n: int,
 
     Valid objects (cocycles, or homomorphisms for a presentation input) are
     drawn at random, each edge/generator value is resampled independently with
-    the grid probability, and both defects of the result are recorded.  Fully
-    deterministic given the seed.
+    the grid probability, a level in [0, 1], and both defects of the result
+    are recorded.  Fully deterministic given the seed.
     """
+    for level in corruption_grid:
+        if not 0 <= level <= 1:
+            raise ValueError(f"corruption level {level} is outside [0, 1]")
     cap = degree_n + 2 if n_max is None else n_max
     kind = "cocycle" if isinstance(obj, PolygonalComplex) else "hom"
     fp = fundamental_presentation(obj, root) if kind == "cocycle" else None

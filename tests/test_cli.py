@@ -418,6 +418,72 @@ def test_covering_with_misplaced_fiber_labels_is_rejected(tmp_path, capsys):
     assert code == 1 and "over vertex 1" in out
 
 
+def test_a_cap_below_the_input_degree_exits_1(tmp_path, capsys):
+    x = instances.torus_complex()
+    a = Cochain1(x, 3, (Permutation([2, 3, 1]), Permutation([1, 3, 2])))
+    fileio.save_json(fileio.complex_to_dict(x), tmp_path / "t.json")
+    fileio.save_json(fileio.cochain1_to_dict(a), tmp_path / "a.json")
+    fileio.save_json(fileio.covering_to_dict(cochain_to_covering(a)), tmp_path / "c.json")
+    fileio.save_json({"presentation": {"generators": 2, "relators": [[1, 2, -1, -2]]},
+                      "images": [[2, 3, 1], [1, 3, 2]]}, tmp_path / "h.json")
+    below = "n_max 2 is below the input degree 3"
+    for argv, message in [
+            (("defect", "global", "--kind", "cocycle", "--input", "a.json"), below),
+            (("defect", "global", "--kind", "cover", "--input", "c.json",
+              "--complex", "t.json"), below),
+            (("defect", "global", "--kind", "hom", "--input", "h.json"), below),
+            (("equiv", "--input", "a.json"), below),
+            (("profile", "--input", "t.json", "--n", "3"), below),
+            (("h1check", "--input", "t.json", "--ncap", "1"), "n_cap 1")]:
+        argv = [str(tmp_path / v) if v.endswith(".json") else v for v in argv]
+        if argv[0] != "h1check":
+            argv += ["--nmax", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and message in err, (argv, err)
+        assert out == "", argv
+
+
+def test_profile_levels_outside_the_unit_interval_exit_1(tmp_path, capsys):
+    fileio.save_json(fileio.complex_to_dict(instances.triangle_complex()), tmp_path / "x.json")
+    for grid in ("2,-1", "0,nan", "0.5,1.01"):
+        code, out, err = run(capsys, "profile", "--input", str(tmp_path / "x.json"),
+                             "--n", "2", "--grid", grid, "--samples", "1")
+        assert code == 1 and "outside [0, 1]" in err and out == "", grid
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("complete-complex", '{"d": 4.7}', "parameter d must be an integer, got 4.7"),
+    ("complete-complex", '{"d": "5"}', "parameter d must be an integer, got '5'"),
+    ("complete-complex", '{"d": true}', "parameter d must be an integer, got True"),
+    ("complete-complex", '{"dd": 5}', "takes no parameter 'dd'; it accepts d"),
+    ("torus", '{"d": 5}', "family torus takes no parameter 'd'; it accepts none"),
+    ("cycle", '[4]', "--params must be a JSON object"),
+    ("random", '{"n": 2.0}', "parameter n must be an integer"),
+    ("random", '{"tol": null}', "a rational must be a number"),
+    ("bouquet", '{"relators": [[1, 1.0]]}', "relator 1 entry 2 must be an integer"),
+    ("bouquet", '{"relators": 5}', "parameter relators must be a list"),
+    ("bouquet", '{"generators": "2"}', "parameter generators must be an integer"),
+    ("balanced-cut", '{"n": 6}', "it accepts d"),
+])
+def test_generate_reads_its_parameters_strictly(tmp_path, capsys, family, params, message):
+    code, out, err = run(capsys, "generate", "--family", family, "--params", params,
+                         "--output-dir", str(tmp_path))
+    assert code == 1 and message in err, err
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+def test_generate_reads_valid_parameters(tmp_path, capsys):
+    code, out, _ = run(capsys, "generate", "--family", "complete-complex",
+                       "--params", '{"d": 5}', "--output-dir", str(tmp_path))
+    assert code == 0 and out.strip().endswith("complete-5.json")
+    code, out, _ = run(capsys, "generate", "--family", "bouquet", "--params",
+                       '{"relators": [[1, 2, -1, -2]], "generators": 3}',
+                       "--output-dir", str(tmp_path))
+    assert code == 0
+    x = fileio.load_object(tmp_path / "bouquet.json")[1]
+    assert len(x.skeleton.edges) == 3 and len(x.polygons) == 1
+
+
 # ---------------------------------------------------------------------------
 # fuzzed files of every kind
 

@@ -1,10 +1,12 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from permstab import instances
-from permstab.cochains import cochain_to_covering, images_to_cochain
+from permstab.cochains import cochain_to_covering, identity_cochain1, images_to_cochain
 from permstab.errors import GuardExceeded
 from permstab.graphs import (CombinatorialMap, Graph, check_covering,
                              edit_distance, is_connected, origin, reduce_path,
@@ -123,6 +125,17 @@ def test_check_covering_accepts_double_cover():
     c = check_covering(double_cover_map(), 2)
     assert c.degree == 2
     assert c.fiber_labels == ((1, 2),)
+
+
+def test_checked_covering_graph_is_not_kept():
+    """Checking a covering keeps no reference to its graph: once the covering
+    is dropped, so is the graph."""
+    cover = cochain_to_covering(identity_cochain1(instances.complete_complex(4), 3))
+    checked = check_covering(cover.labeled.labeling, cover.degree)
+    graph = weakref.ref(checked.graph)
+    del cover, checked
+    gc.collect()
+    assert graph() is None
 
 
 def test_check_covering_rejects_broken_stars():

@@ -903,3 +903,35 @@ def test_stability_profile_hom_kind():
         assert 0 <= row.global_upper <= 1
         if row.local_defect == 1:
             assert row.global_upper == Fraction(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# input checks: a cap below the input degree and corruption levels
+
+
+def test_a_cap_below_the_input_degree_is_an_input_error():
+    x = instances.torus_complex()
+    a = Cochain1(x, 3, (Permutation([2, 3, 1]), Permutation([1, 3, 2])))
+    fp = fundamental_presentation(x)
+    cases = {"hom": lambda: global_defect("hom", (fp.presentation, a.values), 2),
+             "cocycle": lambda: global_defect("cocycle", a, 2),
+             "cover": lambda: global_defect("cover", (cochain_to_covering(a), x), 2),
+             "coboundaries": lambda: stability.distance_to_coboundaries(a, 2)}
+    for name, call in cases.items():
+        with pytest.raises(ValueError, match="n_max 2 is below the input degree 3"):
+            call()
+    with pytest.raises(ValueError, match="n_max 1 is below the input degree 2"):
+        stability_profile(instances.complete_complex(4), 2, [0.5], 1, seed=1, n_max=1)
+    with pytest.raises(ValueError, match="n_cap 1"):
+        h1_vanishing_check(x, 1)
+    # a cap that every guard refuses is still a guard trip
+    with pytest.raises(GuardExceeded):
+        global_defect("cocycle", a, 3, hom_guard=1)
+
+
+@pytest.mark.parametrize("level", [2.0, -1.0, 1.5, float("nan")])
+def test_stability_profile_refuses_levels_outside_the_unit_interval(level):
+    with pytest.raises(ValueError, match=f"corruption level {level}"):
+        stability_profile(instances.complete_complex(4), 2, [0.0, level], 1, seed=1)
+    with pytest.raises(ValueError, match="corruption level"):
+        stability_profile(A3, 2, [level], 1, seed=1)
