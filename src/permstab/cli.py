@@ -28,7 +28,7 @@ from .cochains import (Cochain1, cochain_to_covering, covering_to_cochain,
 from .complexes import (PolygonalComplex, fundamental_presentation,
                         polygon_weights, presentation_complex)
 from .errors import GuardExceeded
-from .graphs import edit_distance
+from .graphs import Covering, edit_distance
 from .stability import (DEFAULT_ALIGNMENT_GUARD, DEFAULT_ENUM_GUARD,
                         DEFAULT_HOM_GUARD, cheeger, global_defect,
                         h1_vanishing_check, spectral_gap, stability_profile)
@@ -134,9 +134,21 @@ def cmd_validate(args) -> int:
     return 0
 
 
+# defect's global-only options by dest; the parser leaves them None
+_GLOBAL_ONLY = {"--root": "root", "--tree": "tree", "--nmax": "nmax",
+                "--no-heuristic": "no_heuristic", "--guard-hom": "guard_hom",
+                "--guard-align": "guard_align"}
+
+
 def cmd_defect(args) -> int:
+    given = [flag for flag, dest in _GLOBAL_ONLY.items() if getattr(args, dest) is not None]
+    if args.scope == "local" and given:
+        raise ValueError(f"defect local takes no {', '.join(given)}; "
+                         "those options are read by defect global")
     if args.scope == "global" and args.weights is not None:
         raise ValueError("global defects are unweighted; --weights is for local defects")
+    for flag in set(_GLOBAL_ONLY) - set(given):
+        setattr(args, _GLOBAL_ONLY[flag], _FLAGS[flag].get("default"))
     kind, obj, weights = _defect_object(args)
     if args.scope == "local":
         report = local_defect(kind, obj, weights)
@@ -276,8 +288,9 @@ def _equiv_checks(a: Cochain1, nmax: int | None, root: int,
     cover = cochain_to_covering(a)
     checks = [("cover and cocycle local defects equal",
                cover_local_defect(cover, x).value == local),
-              ("covering round trip is exact",
-               covering_to_cochain(cover, x).values == a.values)]
+              # read back through the labeled graph, not the table the covering holds
+              ("covering round trip is exact", covering_to_cochain(
+                  Covering(cover.labeled, cover.degree, cover.fiber_labels), x) == a)]
     if x.skeleton.vertex_count == 1:
         checks += [("hom and cocycle local defects equal",
                     hom_local == local),
@@ -417,9 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("hom", "cocycle", "cover", "cover-dm", "matrix"))
     p.add_argument("--input", required=True)
     p.add_argument("--complex", help="complex file (for cover kinds)")
-    _add_common(p, "--format", "--root", "--tree", "--nmax", "--weights",
-                "--no-heuristic", "--guard-hom", "--guard-align")
-    p.set_defaults(func=cmd_defect)
+    _add_common(p, "--format", "--weights", *_GLOBAL_ONLY)
+    p.set_defaults(func=cmd_defect, **dict.fromkeys(_GLOBAL_ONLY.values()))
 
     p = sub.add_parser("test", help="seeded Monte Carlo tester run")
     p.add_argument("--kind", required=True,

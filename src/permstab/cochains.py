@@ -1,14 +1,13 @@
 """Permutation-valued cochains, coboundaries, norms, and the covering dictionary.
 
-A 1-cochain stores one permutation per unoriented edge, the value on the
-stored orientation; the reversed orientation returns the inverse, so
-antisymmetry cannot be violated.  2-cochains are never materialized: they
-only occur as coboundaries of 1-cochains.  Norms, coboundary distances and
-the testers' rejection tables evaluate polygon values in one batched fold
-over a signed value table (``_value_table``/``_fold``): one gather per word
-position for a whole batch of words, one polygon class (all of its
-orientations) or all canonical representatives at a time.  Counts are taken
-in integers and turned into exact ``Fraction``s last.
+A cochain stores one read-only (cells, n) intp array of 0-based images,
+``rows``, and every kernel here reads and writes rows; Permutations are built
+only where values enter or leave the API.  A 1-cochain holds the value on the
+stored orientation of each edge and the reversal reads its inverse, so
+antisymmetry cannot be violated.  2-cochains only occur as coboundaries.
+Polygon values are evaluated in one batched fold over a signed value table
+(``_value_table``/``_fold``): one gather per word position for a whole batch
+of words.  Counts are taken in integers and turned into ``Fraction``s last.
 """
 
 from __future__ import annotations
@@ -17,17 +16,16 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .complexes import PolygonalComplex, WeightingSystem, uniform_distribution
 from .errors import GuardExceeded
-from .graphs import (CombinatorialMap, Covering, Graph, LabeledGraph, origin,
-                     tree_paths_to_root)
-from .perm import (Permutation, _trusted, compose, evaluate_word,
-                   hamming_distance_with_errors)
+from .graphs import (Covering, Graph, check_path, origin, tree_paths_to_root,
+                     vertex_stars)
+from .perm import Permutation, _check_degree, _trusted
 
 
 def skeleton_of(space: PolygonalComplex | Graph) -> Graph:
@@ -40,87 +38,149 @@ def _require_polygons(space: PolygonalComplex | Graph) -> PolygonalComplex:
     return space
 
 
-@dataclass(frozen=True)
-class Cochain0:
+class _Cochain:
+    """One permutation of a fixed degree per cell, held as read-only ``rows``.
+
+    The constructor checks Permutation values; library results wrap trusted
+    rows with ``_of``.  ``values`` is built on first read and kept.  Equality
+    and hashing read (space, degree, rows).
+    """
+
+    def __init__(self, space: PolygonalComplex | Graph, degree: int,
+                 values: Sequence[Permutation]) -> None:
+        values = tuple(values)
+        if len(values) != self._cells(skeleton_of(space)):
+            raise ValueError(f"need one value per {self._cell}")
+        self._fill(space, degree, _images(values, degree), values=values)
+
+    @classmethod
+    def _of(cls, space: PolygonalComplex | Graph, degree: int, rows: np.ndarray):
+        """The cochain of trusted 0-based rows, which it makes read-only."""
+        c = object.__new__(cls)
+        c._fill(space, degree, rows)
+        return c
+
+    def _fill(self, space, degree: int, rows: np.ndarray, **values) -> None:
+        rows.flags.writeable = False
+        vars(self).update(space=space, degree=degree, rows=rows, **values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @cached_property
+    def values(self) -> tuple[Permutation, ...]:
+        return _permutations(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is type(self) and self.space == other.space
+                and self.degree == other.degree and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.degree, self.rows.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.space!r}, {self.degree}, {self.values!r})"
+
+
+class Cochain0(_Cochain):
     """Assignment of a permutation of one fixed degree to every vertex."""
 
-    space: PolygonalComplex | Graph
-    degree: int
-    values: tuple[Permutation, ...]
-
-    def __post_init__(self) -> None:
-        g = skeleton_of(self.space)
-        if len(self.values) != g.vertex_count:
-            raise ValueError("need one value per vertex")
-        if any(p.degree != self.degree for p in self.values):
-            raise ValueError("all values must share the declared degree")
-
-    def on_vertex(self, v: int) -> Permutation:
-        return self.values[v - 1]
+    _cell, _cells = "vertex", staticmethod(lambda g: g.vertex_count)
 
 
-@dataclass(frozen=True)
-class Cochain1:
-    """Antisymmetric assignment of permutations to oriented edges."""
+class Cochain1(_Cochain):
+    """Antisymmetric assignment of permutations to oriented edges: row k-1
+    (and ``values[k-1]``) is the value on the stored orientation of edge k."""
 
-    space: PolygonalComplex | Graph
-    degree: int
-    values: tuple[Permutation, ...]  # value on the stored orientation of edge k
+    _cell, _cells = "unoriented edge", staticmethod(lambda g: len(g.edges))
 
-    def __post_init__(self) -> None:
-        g = skeleton_of(self.space)
-        if len(self.values) != len(g.edges):
-            raise ValueError("need one value per unoriented edge")
-        if any(p.degree != self.degree for p in self.values):
-            raise ValueError("all values must share the declared degree")
 
-    def on_edge(self, s: int) -> Permutation:
-        p = self.values[abs(s) - 1]
-        return p if s > 0 else p.inverse()
+def _identity_rows(count: int, n: int) -> np.ndarray:
+    return np.tile(np.arange(_check_degree(n)), (count, 1))
 
 
 def identity_cochain0(space: PolygonalComplex | Graph, n: int) -> Cochain0:
-    g = skeleton_of(space)
-    return Cochain0(space, n, tuple(Permutation.identity(n) for _ in range(g.vertex_count)))
+    return Cochain0._of(space, n, _identity_rows(skeleton_of(space).vertex_count, n))
 
 
 def identity_cochain1(space: PolygonalComplex | Graph, n: int) -> Cochain1:
-    g = skeleton_of(space)
-    return Cochain1(space, n, tuple(Permutation.identity(n) for _ in range(len(g.edges))))
+    return Cochain1._of(space, n, _identity_rows(len(skeleton_of(space).edges), n))
 
 
 # ---------------------------------------------------------------------------
-# coboundaries and path values
+# coboundaries, path values and the 0-cochain action
+
+
+def _inverse(rows: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of 0-based (count, n) permutation rows."""
+    inv = np.empty_like(rows)
+    inv[np.arange(len(rows))[:, None], rows] = np.arange(rows.shape[1])
+    return inv
+
+
+def _act(g: Graph, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Rows of beta.alpha on the edges x -> y of g: beta(x)^-1 alpha(e) beta(y),
+    for 0-based vertex rows beta and edge rows alpha, in two gathers."""
+    ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1
+    moved = alpha[np.arange(len(ends))[:, None], beta[ends[:, 1]]]
+    return _inverse(beta)[ends[:, :1], moved]
 
 
 def coboundary0(b: Cochain0) -> Cochain1:
-    """delta b on the edge x -> y is b(x)^-1 b(y)."""
-    g = skeleton_of(b.space)
-    vals = tuple(compose(b.on_vertex(u).inverse(), b.on_vertex(v)) for u, v in g.edges)
-    return Cochain1(b.space, b.degree, vals)
+    """delta b on the edge x -> y is b(x)^-1 b(y): b acting on the identity."""
+    return act0on1(b, identity_cochain1(b.space, b.degree))
+
+
+def act0on1(beta: Cochain0, alpha: Cochain1) -> Cochain1:
+    """beta.alpha on the edge x -> y is beta(x)^-1 alpha(e) beta(y).
+
+    Polygon values get conjugated at the basepoint, so all coboundary norms
+    are preserved and cocycles stay cocycles.
+    """
+    if skeleton_of(beta.space) != skeleton_of(alpha.space):
+        raise ValueError("cochains live on different complexes")
+    if beta.degree != alpha.degree:
+        raise ValueError(f"degree mismatch: {beta.degree} != {alpha.degree}")
+    return Cochain1._of(alpha.space, alpha.degree,
+                        _act(skeleton_of(alpha.space), beta.rows, alpha.rows))
+
+
+def _path_rows(a: Cochain1, paths: Sequence[Sequence[int]]) -> np.ndarray:
+    """0-based values of a batch of signed edge paths (empty ones included)."""
+    return _fold(_value_table(a.rows), _word_rows(paths, len(a.rows)))
 
 
 def path_value(a: Cochain1, path: Sequence[int]) -> Permutation:
     """Ordered product of edge values along a path; empty path gives identity.
 
-    The path is a signed word over edge ids, so this is ``evaluate_word`` on
-    the edge values; the empty path is answered here because a graph without
-    edges has no value to fix the degree.
+    The path is a signed word over edge ids, with the product convention of
+    ``evaluate_word``: the last edge acts first.
     """
-    return evaluate_word(path, a.values) if path else Permutation.identity(a.degree)
+    return _permutations(_path_rows(a, [path]))[0]
 
 
 def coboundary1(a: Cochain1, path: Sequence[int]) -> Permutation:
     """Value of delta a on a path (restricting to polygons gives the 2-cochain)."""
-    from .graphs import check_path
-
     check_path(skeleton_of(a.space), path)
     return path_value(a, path)
 
 
 def is_cocycle(a: Cochain1) -> bool:
     x = _require_polygons(a.space)
-    return all(path_value(a, pc.rep).is_identity() for pc in x.polygons)
+    return not any(t.any() for t in _polygon_tables(x, _value_table(a.rows), False))
+
+
+def tree_normalize(alpha: Cochain1, tree: frozenset[int], root: int) -> tuple[Cochain1, Cochain0]:
+    """Act by the 0-cochain of tree-path values so every tree edge becomes trivial.
+
+    Returns (beta.alpha, beta) with beta(y) the alpha-value of the tree path
+    from y to the root; the output is in the action orbit of the input.  One
+    fold evaluates the V tree paths.
+    """
+    g = skeleton_of(alpha.space)
+    beta = _path_rows(alpha, tree_paths_to_root(g, tree, root))
+    return (Cochain1._of(alpha.space, alpha.degree, _act(g, beta, alpha.rows)),
+            Cochain0._of(alpha.space, alpha.degree, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +190,7 @@ def is_cocycle(a: Cochain1) -> bool:
 def _images(values: Sequence[Permutation], degree: int) -> np.ndarray:
     """0-based images of permutations of one degree, shape (len(values), n)."""
     if any(p.degree != degree for p in values):
-        raise ValueError("values must share one degree")
+        raise ValueError("all values must share the declared degree")
     flat = np.fromiter(itertools.chain.from_iterable(p.images for p in values),
                        np.intp, len(values) * degree)
     return flat.reshape(len(values), degree) - 1
@@ -214,6 +274,7 @@ def _mu1(g: Graph, weights: WeightingSystem | None) -> tuple[Fraction, ...]:
     return weights.mu1
 
 
+
 def cochain_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fraction:
     """Norm of delta a: expected distance of the polygon value from identity.
 
@@ -222,29 +283,27 @@ def cochain_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fractio
     conjugation and inversion.
     """
     x = _require_polygons(a.space)
-    tables = _polygon_tables(x, _value_table(_images(a.values, a.degree)), False)
+    tables = _polygon_tables(x, _value_table(a.rows), False)
     return sum((w * Fraction(int(t.sum()), a.degree)
                 for w, t in zip(_mu2(x, weights), tables)), Fraction(0))
 
 
 def edge_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fraction:
     """Norm of a itself as a 1-cochain: expected edge distance from identity."""
-    g = skeleton_of(a.space)
-    mu1 = _mu1(g, weights)
-    ident = Permutation.identity(a.degree)
-    return sum((w * hamming_distance_with_errors(p, ident)
-                for w, p in zip(mu1, a.values)), Fraction(0))
+    return cochain_distance(a, identity_cochain1(a.space, a.degree), weights)
 
 
 def cochain_distance(a: Cochain1, b: Cochain1,
                      weights: WeightingSystem | None = None) -> Fraction:
-    """Expected edge distance between two 1-cochains (degrees may differ)."""
+    """Expected edge distance between two 1-cochains (degrees may differ):
+    per edge, ``hamming_distance_with_errors`` of the two values."""
     if skeleton_of(a.space) != skeleton_of(b.space):
         raise ValueError("cochains live on different complexes")
-    g = skeleton_of(a.space)
-    mu1 = _mu1(g, weights)
-    return sum((w * hamming_distance_with_errors(p, q)
-                for w, p, q in zip(mu1, a.values, b.values)), Fraction(0))
+    mu1 = _mu1(skeleton_of(a.space), weights)
+    small, big = sorted((a.degree, b.degree))
+    agree = np.count_nonzero(a.rows[:, :small] == b.rows[:, :small], axis=1)
+    return sum((w * Fraction(big - k, big) for w, k in zip(mu1, agree.tolist())),
+               Fraction(0))
 
 
 def coboundary_distance(a: Cochain1, b: Cochain1,
@@ -261,53 +320,17 @@ def coboundary_distance(a: Cochain1, b: Cochain1,
     if skeleton_of(b.space) != x.skeleton:
         raise ValueError("cochains live on different complexes")
     mu2 = _mu2(x, weights)
-    table_a = _value_table(_images(a.values, a.degree))
-    table_b = _value_table(_images(b.values, b.degree))
-    small, big = min(a.degree, b.degree), max(a.degree, b.degree)
+    table_a, table_b = _value_table(a.rows), _value_table(b.rows)
+    small, big = sorted((a.degree, b.degree))
     total = Fraction(0)
     for weight, pc in zip(mu2, x.polygons):
         if weight == 0:
             continue
-        rows = _word_rows(sorted(pc.orientations), len(a.values))
+        rows = _word_rows(sorted(pc.orientations), len(a.rows))
         agree = np.count_nonzero(_fold(table_a, rows)[:, :small]
                                  == _fold(table_b, rows)[:, :small])
         total += weight * Fraction(len(rows) * big - agree, len(rows) * big)
     return total
-
-
-# ---------------------------------------------------------------------------
-# the 0-cochain action and tree normalization
-
-
-def act0on1(beta: Cochain0, alpha: Cochain1) -> Cochain1:
-    """beta.alpha on the edge x -> y is beta(x)^-1 alpha(e) beta(y).
-
-    Polygon values get conjugated at the basepoint, so all coboundary norms
-    are preserved and cocycles stay cocycles.
-    """
-    if skeleton_of(beta.space) != skeleton_of(alpha.space):
-        raise ValueError("cochains live on different complexes")
-    if beta.degree != alpha.degree:
-        raise ValueError(f"degree mismatch: {beta.degree} != {alpha.degree}")
-    g = skeleton_of(alpha.space)
-    vals = []
-    for k, (u, v) in enumerate(g.edges, start=1):
-        vals.append(compose(compose(beta.on_vertex(u).inverse(), alpha.values[k - 1]),
-                            beta.on_vertex(v)))
-    return Cochain1(alpha.space, alpha.degree, tuple(vals))
-
-
-def tree_normalize(alpha: Cochain1, tree: frozenset[int], root: int) -> tuple[Cochain1, Cochain0]:
-    """Act by the 0-cochain of tree-path values so every tree edge becomes trivial.
-
-    Returns (beta.alpha, beta) with beta(y) the alpha-value of the tree path
-    from y to the root; the output is in the action orbit of the input.
-    """
-    g = skeleton_of(alpha.space)
-    paths = tree_paths_to_root(g, tree, root)
-    beta = Cochain0(alpha.space, alpha.degree,
-                    tuple(path_value(alpha, p) for p in paths))
-    return act0on1(beta, alpha), beta
 
 
 # ---------------------------------------------------------------------------
@@ -320,65 +343,19 @@ def cochain_to_covering(alpha: Cochain1) -> Covering:
     Sheets: vertex (x, i) gets id (x-1)n + i, edge (e, i) gets id (e-1)n + i
     and runs from (x, alpha(e).i) to (y, i) where e: x -> y is the stored
     orientation.  Fiber labels are canonical (ascending vertex id), which
-    makes the round trip through covering_to_cochain exact.
+    makes the round trip through covering_to_cochain exact.  The covering
+    holds alpha's rows as its lift table and builds that labeled graph only
+    when it is read.
     """
-    g = skeleton_of(alpha.space)
-    n, count = alpha.degree, g.vertex_count
-    cover_edges: list[tuple[int, int]] = []
-    for (x, y), a in zip(g.edges, alpha.values):
-        ox, oy = (x - 1) * n, (y - 1) * n
-        cover_edges += zip([ox + i for i in a.images], range(oy + 1, oy + n + 1))
-    cover = Graph(count * n, tuple(cover_edges))
-    labeling = CombinatorialMap(cover, g, tuple(x for x in range(1, count + 1) for _ in range(n)),
-                                tuple(e for e in range(1, len(g.edges) + 1) for _ in range(n)))
-    fibers = tuple(tuple(range((x - 1) * n + 1, x * n + 1)) for x in range(1, count + 1))
-    return Covering(LabeledGraph(cover, labeling), n, fibers)
+    return Covering._of_lifts(skeleton_of(alpha.space), alpha.degree, alpha.rows)
 
 
 def _covering_images(c: Covering, space: PolygonalComplex | Graph) -> np.ndarray:
-    """The edge values read off a covering, as 0-based (m, n) images.
-
-    Raises ValueError unless the covering covers the skeleton of ``space``,
-    its fibers list each covering vertex once, every covering edge carries a
-    base edge label and joins the fibers over that edge's ends, and the lifts
-    of every base edge form a bijection of the sheets.
-    """
-    base = c.base
-    if skeleton_of(space) != base:
+    """The edge values read off a covering that covers the skeleton of
+    ``space``: its lift table, checked on first use (``Covering._lifts``)."""
+    if skeleton_of(space) != c.base:
         raise ValueError("covering does not cover the skeleton of the given complex")
-    n, m, size = c.degree, len(base.edges), c.graph.vertex_count
-    fibers = c.fiber_labels
-    if n < 1 or size != n * base.vertex_count or len(fibers) != base.vertex_count \
-            or any(len(f) != n for f in fibers):
-        raise ValueError(f"a degree-{n} covering needs {base.vertex_count} fibers of "
-                         f"{n} covering vertices each")
-    labels = np.fromiter(itertools.chain.from_iterable(fibers), np.intp, size)
-    if (np.sort(labels) != np.arange(1, size + 1)).any():
-        raise ValueError(f"fiber labels must list each covering vertex 1..{size} once")
-    edge_map = c.labeled.labeling.edge_map
-    if len(c.graph.edges) != m * n or len(edge_map) != m * n:
-        raise ValueError(f"a degree-{n} covering needs {m * n} labeled edges")
-    # pos[v] = (x-1)n + sheet index of covering vertex v over base vertex x;
-    # ids outside 1..size read the -1 kept at both ends
-    pos = np.full(size + 2, -1)
-    pos[labels] = np.arange(size)
-    ends = np.fromiter(itertools.chain.from_iterable(c.graph.edges), np.intp, 2 * m * n)
-    ends = pos[np.minimum(np.maximum(ends, 0), size + 1)].reshape(-1, 2)
-    lbl = np.fromiter(edge_map, np.intp, m * n)
-    ends = np.where((lbl > 0)[:, None], ends, ends[:, ::-1])   # orient along +|label|
-    # 0-based (origin, terminus) of each base edge; labels outside +-1..m read
-    # row 0 or m+1, which no covering edge can match
-    e = np.minimum(np.abs(lbl), m + 1)
-    over = np.array([(-1, -1), *base.edges, (-1, -1)], dtype=np.intp) - 1
-    if (ends // n != over[e]).any():
-        raise ValueError("a covering edge does not join the fibers over the ends of its label")
-    images = np.full((m, n), -1)
-    images[e - 1, ends[:, 1] % n] = ends[:, 0] % n
-    bijective = np.sort(images, axis=1) == np.arange(n)
-    if not bijective.all():
-        raise ValueError(f"the lifts of edge {int(bijective.all(axis=1).argmin()) + 1} "
-                         "are not a bijection of the sheets")
-    return images
+    return c._lifts
 
 
 def covering_to_cochain(c: Covering, space: PolygonalComplex | Graph | None = None) -> Cochain1:
@@ -386,11 +363,12 @@ def covering_to_cochain(c: Covering, space: PolygonalComplex | Graph | None = No
 
     The edge value alpha(e) sends the sheet label of the terminus of each lift
     of e to the sheet label of its origin.  Different fiber labelings give
-    cochains in one 0-cochain action orbit.  Malformed coverings raise
-    ValueError (see ``_covering_images``).
+    cochains in one 0-cochain action orbit.  The cochain shares the
+    covering's lift table.  Malformed coverings raise ValueError (see
+    ``Covering._lifts``).
     """
     space = c.base if space is None else space
-    return Cochain1(space, c.degree, _permutations(_covering_images(c, space)))
+    return Cochain1._of(space, c.degree, _covering_images(c, space))
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +406,24 @@ def is_coboundary(a: Cochain1) -> tuple[bool, Cochain0 | None]:
     consistency is checked on the remaining edges.  Linear time, no search.
     """
     g = skeleton_of(a.space)
-    n = a.degree
-    vals: list[Permutation | None] = [None] * g.vertex_count
-    from .graphs import vertex_stars
-
+    rows, inverse = a.rows, _inverse(a.rows)
+    vals: list[np.ndarray | None] = [None] * g.vertex_count
     stars = vertex_stars(g)
     for start in range(1, g.vertex_count + 1):
         if vals[start - 1] is not None:
             continue
-        vals[start - 1] = Permutation.identity(n)
+        vals[start - 1] = np.arange(a.degree)
         queue = [start]
         while queue:
             v = queue.pop(0)
-            bv = vals[v - 1]
             for s in stars[v - 1]:
-                # s points into v; -s leaves v toward w
+                # s points into v; -s leaves v toward w, and delta b(v->w) = b(v)^-1 b(w)
                 w = origin(g, s)
-                need = compose(bv, a.on_edge(-s))  # delta b(v->w) = b(v)^-1 b(w)
                 if vals[w - 1] is None:
-                    vals[w - 1] = need
+                    vals[w - 1] = vals[v - 1][(inverse if s > 0 else rows)[abs(s) - 1]]
                     queue.append(w)
-    beta = Cochain0(a.space, n, tuple(vals))  # type: ignore[arg-type]
-    if coboundary0(beta).values == a.values:
+    beta = Cochain0._of(a.space, a.degree, np.array(vals, dtype=np.intp))
+    if coboundary0(beta) == a:
         return True, beta
     return False, None
 
@@ -498,18 +472,20 @@ def _orbit_agreements(g: Graph, a: np.ndarray, b: np.ndarray) -> tuple[int, int]
     return int(total.flat[flat]), flat
 
 
+
 def _relabeling(space: PolygonalComplex | Graph, candidate: np.ndarray, n: int,
                 flat: int) -> tuple[Cochain0, Cochain1]:
     """The 0-cochain beta of the injection tuple at ``flat`` (each injection
     extended by the unused points in increasing order), and beta.candidate,
     for 0-based (edges, big) candidate images."""
-    big = candidate.shape[1]
+    g, big = skeleton_of(space), candidate.shape[1]
     inj = _injections(n, big)
-    idx = np.unravel_index(flat, (len(inj),) * skeleton_of(space).vertex_count)
-    beta = Cochain0(space, big, tuple(
-        _trusted(tuple(m) + tuple(p for p in range(1, big + 1) if p not in m))
-        for m in (inj[list(idx)] + 1).tolist()))
-    return beta, act0on1(beta, Cochain1(space, big, _permutations(candidate)))
+    chosen = inj[list(np.unravel_index(flat, (len(inj),) * g.vertex_count))]
+    unused = np.ones((g.vertex_count, big), dtype=bool)
+    unused[np.arange(g.vertex_count)[:, None], chosen] = False
+    beta = np.concatenate([chosen, np.nonzero(unused)[1].reshape(len(chosen), -1)], axis=1)
+    return (Cochain0._of(space, big, beta),
+            Cochain1._of(space, big, _act(g, beta, candidate)))
 
 
 def orbit_distance(alpha: Cochain1, candidate: Cochain1,
@@ -534,8 +510,7 @@ def orbit_distance(alpha: Cochain1, candidate: Cochain1,
         raise GuardExceeded(
             f"orbit search needs {math.perm(big, n)}^{g.vertex_count} alignment tuples "
             f"(guard {guard})")
-    b = _images(candidate.values, big)
-    best, flat = _orbit_agreements(g, _images(alpha.values, n), b)
-    beta, witness = _relabeling(candidate.space, b, n, flat)
+    best, flat = _orbit_agreements(g, alpha.rows, candidate.rows)
+    beta, witness = _relabeling(candidate.space, candidate.rows, n, flat)
     m = len(g.edges)
     return OrbitDistanceResult(Fraction(m * big - best, m * big), beta, witness)

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import perm
 from .graphs import (Graph, ValidationReport, check_path, is_connected,
                      is_cyclically_reduced, path_is_closed, spanning_tree,
-                     validate_graph)
+                     tree_paths_to_root, validate_graph)
 
 def _signed_key(s: int) -> tuple[int, int]:
     return (abs(s), 1 if s > 0 else 0)
@@ -56,12 +56,8 @@ def polygon_orbit(g: Graph, path: Sequence[int]) -> PolygonClass:
         raise ValueError("polygon path must be closed")
     if not is_cyclically_reduced(g, p):
         raise ValueError("polygon path must be cyclically reduced")
-    orientations = set()
-    ell = len(p)
-    for k in range(ell):
-        shift = p[k:] + p[:k]
-        orientations.add(shift)
-        orientations.add(perm.invert_word(shift))
+    shifts = [p[k:] + p[:k] for k in range(len(p))]
+    orientations = set(shifts) | {perm.invert_word(w) for w in shifts}
     canonical = min(orientations, key=_word_key)
     return PolygonClass(p, canonical, frozenset(orientations))
 
@@ -151,20 +147,12 @@ def fundamental_presentation(x: PolygonalComplex, root: int = 1,
     if tree is None:
         tree = spanning_tree(x.skeleton, root)
     else:
-        from .graphs import tree_paths_to_root
         tree = frozenset(tree)
         tree_paths_to_root(x.skeleton, tree, root)  # validates spanning-tree-ness
     gen_edges = tuple(k for k in range(1, len(x.skeleton.edges) + 1) if k not in tree)
     gen_index = {k: i + 1 for i, k in enumerate(gen_edges)}
-    relators = []
-    for pc in x.polygons:
-        word = []
-        for s in pc.rep:
-            k = abs(s)
-            if k in tree:
-                continue
-            word.append(gen_index[k] if s > 0 else -gen_index[k])
-        relators.append(tuple(word))
+    relators = [tuple(gen_index[abs(s)] if s > 0 else -gen_index[abs(s)]
+                      for s in pc.rep if abs(s) not in tree) for pc in x.polygons]
     return FundamentalPresentation(
         Presentation(len(gen_edges), tuple(relators)), tree, root, gen_edges)
 

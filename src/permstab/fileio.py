@@ -209,16 +209,14 @@ def _space_from_value(value, base_dir: Path | None):
     return graph_from_dict(value)
 
 
-def cochain1_to_dict(a: Cochain1) -> dict[str, Any]:
-    return {"complex": _space_to_value(a.space), "n": a.degree, "dimension": 1,
-            "values": {str(k): list(p.images)
-                       for k, p in enumerate(a.values, start=1)}}
+def cochain1_to_dict(a: Cochain0 | Cochain1) -> dict[str, Any]:
+    """A cochain of either dimension: ``cochain0_to_dict`` is this writer too."""
+    return {"complex": _space_to_value(a.space), "n": a.degree,
+            "dimension": 0 if isinstance(a, Cochain0) else 1,
+            "values": {str(k): row for k, row in enumerate((a.rows + 1).tolist(), start=1)}}
 
 
-def cochain0_to_dict(b: Cochain0) -> dict[str, Any]:
-    return {"complex": _space_to_value(b.space), "n": b.degree, "dimension": 0,
-            "values": {str(v): list(p.images)
-                       for v, p in enumerate(b.values, start=1)}}
+cochain0_to_dict = cochain1_to_dict
 
 
 def cochain_from_dict(d: dict[str, Any], base_dir: Path | None = None) -> Cochain0 | Cochain1:
@@ -259,25 +257,17 @@ def weights_from_dict(d: dict[str, Any], x: PolygonalComplex):
 # generic entry points
 
 
+# each kind with the fields that mark it, tried in this order
+_KINDS = (("hom_instance", ("presentation", "images")), ("presentation", ("generators",)),
+          ("matrix", ("rows",)), ("weights", ("mu2",)), ("cochain", ("values", "n")),
+          ("covering", ("fiber_labels",)), ("labeled_graph", ("vertex_map",)),
+          ("complex", ("polygons",)), ("graph", ("edges",)))
+
+
 def detect_kind(d: dict[str, Any]) -> str:
-    if "presentation" in d and "images" in d:
-        return "hom_instance"
-    if "generators" in d:
-        return "presentation"
-    if "rows" in d:
-        return "matrix"
-    if "mu2" in d:
-        return "weights"
-    if "values" in d and "n" in d:
-        return "cochain"
-    if "fiber_labels" in d:
-        return "covering"
-    if "vertex_map" in d:
-        return "labeled_graph"
-    if "polygons" in d:
-        return "complex"
-    if "edges" in d:
-        return "graph"
+    for kind, fields in _KINDS:
+        if all(f in d for f in fields):
+            return kind
     raise ValueError("unrecognized file contents")
 
 

@@ -10,10 +10,14 @@ contributes both orientations to its vertex star.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import GuardExceeded
 from .perm import cyclic_reduce, free_reduce
@@ -201,25 +205,105 @@ class LabeledGraph:
             raise ValueError("labeling source differs from the labeled graph")
 
 
-@dataclass(frozen=True)
 class Covering:
     """A labeled graph whose labeling is bijective on every vertex star.
 
     ``fiber_labels[x-1]`` lists the covering vertices over base vertex x in
-    label order, i.e. position i-1 carries sheet label i.
+    label order, i.e. position i-1 carries sheet label i.  The edge values
+    are the lift table ``_lifts``, read off the labeled graph and checked on
+    first use; a covering made by ``cochains.cochain_to_covering`` holds the
+    table and builds its labeled graph and canonical fibers when first read.
     """
 
-    labeled: LabeledGraph
-    degree: int
-    fiber_labels: tuple[tuple[int, ...], ...]
+    def __init__(self, labeled: LabeledGraph, degree: int,
+                 fiber_labels: tuple[tuple[int, ...], ...]) -> None:
+        vars(self).update(labeled=labeled, degree=degree, fiber_labels=fiber_labels,
+                          base=labeled.base)
+
+    @classmethod
+    def _of_lifts(cls, base: Graph, degree: int, lifts) -> "Covering":
+        c = object.__new__(cls)
+        vars(c).update(degree=degree, base=base, _lifts=lifts)
+        return c
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("Covering is immutable")
+
+    @cached_property
+    def labeled(self) -> LabeledGraph:
+        """Vertex (x, i) gets id (x-1)n + i, edge (e, i) gets id (e-1)n + i and
+        runs from (x, lift(e).i) to (y, i) where e: x -> y is the stored
+        orientation."""
+        n, g = self.degree, self.base
+        ends = np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1
+        tails = (ends[:, :1] * n + self._lifts + 1).ravel().tolist()
+        heads = (ends[:, 1:] * n + np.arange(1, n + 1)).ravel().tolist()
+        cover = Graph(g.vertex_count * n, tuple(zip(tails, heads)))
+        return LabeledGraph(cover, CombinatorialMap(
+            cover, g, tuple(x for x in range(1, g.vertex_count + 1) for _ in range(n)),
+            tuple(e for e in range(1, len(g.edges) + 1) for _ in range(n))))
+
+    @cached_property
+    def fiber_labels(self) -> tuple[tuple[int, ...], ...]:
+        n = self.degree
+        return tuple(tuple(range(x * n + 1, x * n + n + 1)) for x in range(self.base.vertex_count))
 
     @property
     def graph(self) -> Graph:
         return self.labeled.graph
 
-    @property
-    def base(self) -> Graph:
-        return self.labeled.base
+    @cached_property
+    def _lifts(self):
+        """Read-only (edges, degree) rows: row e-1 sends the 0-based sheet of the
+        terminus of each lift of e to the sheet of its origin.  Raises
+        ValueError unless the fibers list each covering vertex once, every
+        covering edge carries a base edge label and joins the fibers over its
+        ends, and the lifts of every base edge form a bijection of the sheets."""
+        base = self.base
+        n, m, size = self.degree, len(base.edges), self.graph.vertex_count
+        fibers = self.fiber_labels
+        if n < 1 or size != n * base.vertex_count or len(fibers) != base.vertex_count \
+                or any(len(f) != n for f in fibers):
+            raise ValueError(f"a degree-{n} covering needs {base.vertex_count} fibers of "
+                             f"{n} covering vertices each")
+        labels = np.fromiter(itertools.chain.from_iterable(fibers), np.intp, size)
+        if (np.sort(labels) != np.arange(1, size + 1)).any():
+            raise ValueError(f"fiber labels must list each covering vertex 1..{size} once")
+        edge_map = self.labeled.labeling.edge_map
+        if len(self.graph.edges) != m * n or len(edge_map) != m * n:
+            raise ValueError(f"a degree-{n} covering needs {m * n} labeled edges")
+        # pos[v] = (x-1)n + sheet index of covering vertex v over base vertex x;
+        # ids outside 1..size read the -1 kept at both ends
+        pos = np.full(size + 2, -1)
+        pos[labels] = np.arange(size)
+        ends = np.fromiter(itertools.chain.from_iterable(self.graph.edges), np.intp, 2 * m * n)
+        ends = pos[np.minimum(np.maximum(ends, 0), size + 1)].reshape(-1, 2)
+        lbl = np.fromiter(edge_map, np.intp, m * n)
+        ends = np.where((lbl > 0)[:, None], ends, ends[:, ::-1])   # orient along +|label|
+        # 0-based (origin, terminus) of each base edge; labels outside +-1..m read
+        # row 0 or m+1, which no covering edge can match
+        e = np.minimum(np.abs(lbl), m + 1)
+        over = np.array([(-1, -1), *base.edges, (-1, -1)], dtype=np.intp) - 1
+        if (ends // n != over[e]).any():
+            raise ValueError("a covering edge does not join the fibers over the ends of its label")
+        images = np.full((m, n), -1, dtype=np.intp)
+        images[e - 1, ends[:, 1] % n] = ends[:, 0] % n
+        bijective = np.sort(images, axis=1) == np.arange(n)
+        if not bijective.all():
+            raise ValueError(f"the lifts of edge {int(bijective.all(axis=1).argmin()) + 1} "
+                             "are not a bijection of the sheets")
+        images.flags.writeable = False
+        return images
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Covering) and (self.labeled, self.degree, self.fiber_labels) \
+            == (other.labeled, other.degree, other.fiber_labels)
+
+    def __hash__(self) -> int:
+        return hash((self.labeled, self.degree, self.fiber_labels))
+
+    def __repr__(self) -> str:
+        return f"Covering(degree={self.degree}, base={self.base!r})"
 
 
 def check_covering(f: CombinatorialMap, n: int) -> Covering:
@@ -242,13 +326,12 @@ def check_covering(f: CombinatorialMap, n: int) -> Covering:
             raise ValueError(f"star not injective at vertex {y}")
         if set(images) != set(tgt_stars[f.map_vertex(y) - 1]):
             raise ValueError(f"star not surjective at vertex {y}")
-    fibers: list[list[int]] = [[] for _ in range(f.target.vertex_count)]
-    for v in range(1, f.source.vertex_count + 1):
-        fibers[f.map_vertex(v) - 1].append(v)
+    labeled = LabeledGraph(f.source, f)
+    fibers = _fibers(labeled)
     for x, fib in enumerate(fibers, start=1):
         if len(fib) != n:
             raise ValueError(f"fiber over vertex {x} has size {len(fib)}, expected {n}")
-    return Covering(LabeledGraph(f.source, f), n, tuple(tuple(sorted(fib)) for fib in fibers))
+    return Covering(labeled, n, tuple(map(tuple, fibers)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +474,11 @@ def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
                    if None not in key and key in keys_b)
 
     leaves = 1
-    for x in range(1, base.vertex_count + 1):
-        fa, fb = len(fib_a[x - 1]), len(fib_b[x - 1])
-        lo, hi = min(fa, fb), max(fa, fb)
-        for i in range(hi - lo + 1, hi + 1):
-            leaves *= i
+    for fa, fb in zip(fib_a, fib_b):
+        leaves *= math.perm(max(len(fa), len(fb)), min(len(fa), len(fb)))
         if leaves > leaf_guard:
             raise GuardExceeded(
                 f"edit distance alignment space exceeds {leaf_guard} leaves; raise the guard")
-
-    order = list(range(1, base.vertex_count + 1))
 
     remaining_caps = [0] * (base.vertex_count + 1)
     for x in range(base.vertex_count - 1, -1, -1):
@@ -410,11 +488,10 @@ def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
 
     def search(idx: int, pairing: dict[int, int], matched: int) -> None:
         nonlocal best
-        if idx == len(order):
-            if matched > best:
-                best = matched
+        if idx == base.vertex_count:
+            best = max(best, matched)
             return
-        x = order[idx]
+        x = idx + 1
         for inj in injections(x):
             trial = {**pairing, **inj}
             gained = sum(count_matches(e, trial) for e in decide_at[x - 1])

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .cochains import Cochain0, Cochain1, cochain_norm
+from .cochains import Cochain0, Cochain1, cochain_norm, skeleton_of
 from .complexes import (PolygonalComplex, Presentation, polygon_orbit,
                         presentation_complex)
 from .graphs import Graph
@@ -39,13 +40,8 @@ def petersen_graph() -> Graph:
 
 def cube_graph() -> Graph:
     # vertices are 3-bit strings 1..8 (bit order fixed), edges flip one bit
-    edges = []
-    for v in range(8):
-        for bit in (1, 2, 4):
-            w = v ^ bit
-            if v < w:
-                edges.append((v + 1, w + 1))
-    return Graph(8, tuple(edges))
+    return Graph(8, tuple((v + 1, (v ^ bit) + 1) for v in range(8) for bit in (1, 2, 4)
+                          if v < v ^ bit))
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +68,7 @@ def torus_complex() -> PolygonalComplex:
 
 
 def complete_edge_ids(d: int) -> dict[tuple[int, int], int]:
-    ids = {}
-    k = 0
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            k += 1
-            ids[(i, j)] = k
-    return ids
+    return {edge: k for k, edge in enumerate(complete_graph(d).edges, start=1)}
 
 
 def complete_complex(d: int) -> PolygonalComplex:
@@ -87,12 +77,9 @@ def complete_complex(d: int) -> PolygonalComplex:
         raise ValueError("complete complex needs at least 3 vertices")
     g = complete_graph(d)
     ids = complete_edge_ids(d)
-    polys = []
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            for k in range(j + 1, d + 1):
-                polys.append(polygon_orbit(g, (ids[(i, j)], ids[(j, k)], -ids[(i, k)])))
-    return PolygonalComplex(g, tuple(polys))
+    return PolygonalComplex(g, tuple(
+        polygon_orbit(g, (ids[(i, j)], ids[(j, k)], -ids[(i, k)]))
+        for i, j, k in itertools.combinations(range(1, d + 1), 3)))
 
 
 def path_tree(d: int) -> frozenset[int]:
@@ -148,9 +135,7 @@ def cut_instance(d: int) -> CutInstance:
         values.append(flip if crossing and k not in tree else ident)
     alpha = Cochain1(x, 2, tuple(values))
     fp = fundamental_presentation(x, 1, tree)
-    gen_index = {k: idx for idx, k in enumerate(fp.generator_edges)}
     images = tuple(alpha.values[k - 1] for k in fp.generator_edges)
-    assert len(gen_index) == len(images)
     return CutInstance(x, tree, 1, alpha, fp.presentation, fp.generator_edges, images)
 
 
@@ -177,10 +162,8 @@ def blr_matrix(bits: int = 2) -> list[list[int]]:
 def linear_truth_tables(bits: int = 2) -> list[list[int]]:
     """Truth tables of all linear maps F_2^bits -> F_2 (the parity functions)."""
     size = 1 << bits
-    tables = []
-    for mask in range(size):
-        tables.append([bin(mask & point).count("1") % 2 for point in range(size)])
-    return tables
+    return [[bin(mask & point).count("1") % 2 for point in range(size)]
+            for mask in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +175,11 @@ def random_images(count: int, n: int, rng: np.random.Generator) -> tuple[Permuta
 
 
 def random_cochain0(space, n: int, rng: np.random.Generator) -> Cochain0:
-    from .cochains import skeleton_of
-
-    g = skeleton_of(space)
-    return Cochain0(space, n, random_images(g.vertex_count, n, rng))
+    return Cochain0(space, n, random_images(skeleton_of(space).vertex_count, n, rng))
 
 
 def random_cochain1(space, n: int, rng: np.random.Generator) -> Cochain1:
-    from .cochains import skeleton_of
-
-    g = skeleton_of(space)
-    return Cochain1(space, n, random_images(len(g.edges), n, rng))
+    return Cochain1(space, n, random_images(len(skeleton_of(space).edges), n, rng))
 
 
 def random_graph(vertices: int, edge_count: int, rng: np.random.Generator) -> Graph:
@@ -220,8 +197,7 @@ def random_cochain_at_defect(x: PolygonalComplex, n: int, target: Fraction,
     tol = Fraction(tol)
     m = len(x.skeleton.edges)
     for _ in range(max_tries):
-        values = [Permutation.identity(n)] * m
-        vals = list(values)
+        vals = [Permutation.identity(n)] * m
         for i in range(m):
             if rng.random() < float(target):
                 vals[i] = random_permutation(n, rng)

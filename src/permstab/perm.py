@@ -179,10 +179,8 @@ def hamming_distance_with_errors(a: Permutation, b: Permutation) -> Fraction:
 
 
 def permutation_matrix(p: Permutation) -> np.ndarray:
-    m = np.zeros((p.degree, p.degree))
-    for j, i in enumerate(p.images, start=1):
-        m[i - 1, j - 1] = 1.0
-    return m
+    """The matrix with a 1 at (p(j), j) for every j."""
+    return np.eye(p.degree)[:, np.array(p.images) - 1]
 
 
 def hs_distance_check(a: Permutation, b: Permutation) -> tuple[Fraction, float]:

@@ -34,7 +34,7 @@ from .complexes import PolygonalComplex, Presentation, fundamental_presentation
 from .errors import GuardExceeded
 from .graphs import DEFAULT_EDIT_GUARD  # noqa: F401  (re-exported)
 from .graphs import Graph, components, is_connected, vertex_stars
-from .perm import Permutation, all_permutations, random_permutation
+from .perm import Permutation, all_permutations
 from .testers import GENERATOR_ID, hom_local_defect
 
 DEFAULT_HOM_GUARD = 10 ** 8
@@ -270,7 +270,7 @@ def _orbit_search(alpha: Cochain1, presentation: Presentation,
     n, m = alpha.degree, len(g.edges)
     if not m:
         raise ValueError("the complex has no edges, so no distance is defined")
-    a = _images(alpha.values, n)
+    a = alpha.rows
     positions = np.array(generator_edges, dtype=np.intp).reshape(-1) - 1
 
     def refused(degree: int) -> bool:
@@ -282,8 +282,8 @@ def _orbit_search(alpha: Cochain1, presentation: Presentation,
         if alignment_guard_refuses(g.vertex_count, n, degree, align_guard):
             tree_fixed = int((np.delete(a, positions, axis=0) == np.arange(n)).sum())
             d, k = _closest(rows, a[positions], degree, tree_fixed, total)
-            return d, lambda: Cochain1(alpha.space, degree, _permutations(
-                _tree_trivial(rows[k:k + 1], generator_edges, m, degree)[0])), False
+            return d, lambda: Cochain1._of(alpha.space, degree, _tree_trivial(
+                rows[k:k + 1], generator_edges, m, degree)[0]), False
         reps, best = _tree_trivial(rows[_class_representatives(rows, degree)],
                                    generator_edges, m, degree), -1
         for k, cand in enumerate(reps):
@@ -433,22 +433,19 @@ def poincare_inequality_check(g: Graph, values: np.ndarray) -> tuple[float, floa
 # distance to locally constant 0-cochains
 
 
-def _component_agreements(values: Sequence[Permutation], n: int) -> int:
-    """Max total agreements of the degree-n values with one constant sigma in Sym(n).
+def _component_agreements(rows: np.ndarray) -> int:
+    """Max total agreements of 0-based (count, n) rows with one constant sigma in Sym(n).
 
-    Maximizing sum_x |{i : values[x](i) = sigma(i)}| over sigma is an
+    Maximizing sum_x |{i : rows[x](i) = sigma(i)}| over sigma is an
     assignment problem on the (point, image) count matrix; integer costs keep
     it exact.  scipy is imported here, the one place that uses it, so that
     importing permstab does not load it.
     """
     from scipy.optimize import linear_sum_assignment
 
-    cost = np.zeros((n, n), dtype=np.int64)
-    for p in values:
-        for i, j in enumerate(p.images, start=1):
-            cost[i - 1, j - 1] += 1
-    rows, cols = linear_sum_assignment(cost, maximize=True)
-    return int(cost[rows, cols].sum())
+    n = rows.shape[1]
+    cost = np.bincount((np.arange(n) * n + rows).ravel(), minlength=n * n).reshape(n, n)
+    return int(cost[linear_sum_assignment(cost, maximize=True)].sum())
 
 
 def distance_to_constants(b: Cochain0, per_component: bool) -> Fraction:
@@ -461,8 +458,7 @@ def distance_to_constants(b: Cochain0, per_component: bool) -> Fraction:
     n = b.degree
     groups = [sorted(comp) for comp in components(g)] if per_component \
         else [list(range(1, g.vertex_count + 1))]
-    agree = sum(_component_agreements([b.on_vertex(v) for v in grp], n)
-                for grp in groups)
+    agree = sum(_component_agreements(b.rows[np.asarray(grp) - 1]) for grp in groups)
     return Fraction(g.vertex_count * n - agree, g.vertex_count * n)
 
 
@@ -506,18 +502,15 @@ class CheegerReport:
 def _classical_cheeger(g: Graph) -> CheegerReport:
     if g.vertex_count < 2:
         raise ValueError("classical Cheeger constant needs at least two vertices")
-    best = None
-    best_set: frozenset[int] | None = None
-    verts = list(range(1, g.vertex_count + 1))
-    for size in range(1, g.vertex_count // 2 + 1):
-        for subset in itertools.combinations(verts, size):
-            aset = set(subset)
-            cut = sum(1 for u, v in g.edges if (u in aset) != (v in aset))
-            ratio = Fraction(cut, min(len(aset), g.vertex_count - len(aset)))
-            if best is None or ratio < best:
-                best, best_set = ratio, frozenset(aset)
-    assert best is not None
-    return CheegerReport(0, "classical", 0, best, best_set)
+
+    def ratio(aset: frozenset[int]) -> Fraction:
+        cut = sum(1 for u, v in g.edges if (u in aset) != (v in aset))
+        return Fraction(cut, min(len(aset), g.vertex_count - len(aset)))
+
+    # min keeps the first minimizer, in order of size and then of combinations
+    best = min((frozenset(s) for size in range(1, g.vertex_count // 2 + 1)
+                for s in itertools.combinations(range(1, g.vertex_count + 1), size)), key=ratio)
+    return CheegerReport(0, "classical", 0, ratio(best), best)
 
 
 def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
@@ -568,9 +561,8 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
             raise GuardExceeded(
                 f"{math.factorial(degree)}^{len(free)} orbit representatives exceed guard")
         for chosen in itertools.product(range(math.factorial(degree)), repeat=len(free)):
-            values = _permutations(_tree_trivial(np.array([chosen], dtype=np.intp), free,
-                                                 cells, degree)[0])
-            a = (Cochain0 if dimension == 0 else Cochain1)(space, degree, values)
+            a = (Cochain0 if dimension == 0 else Cochain1)._of(space, degree, _tree_trivial(
+                np.array([chosen], dtype=np.intp), free, cells, degree)[0])
             num = edge_norm(coboundary0(a)) if dimension == 0 else cochain_norm(a)
             # a cocycle, or the identity: the one coboundary among the representatives
             if (num == 0) if variant == "cocycle" else not any(chosen):
@@ -611,10 +603,8 @@ def h0_vanishing_check(space: PolygonalComplex | Graph) -> H0Report:
     if len(comps) == 1:
         return H0Report(True, 1, None)
     first = min(comps, key=min)
-    flip = Permutation([2, 1])
-    ident = Permutation.identity(2)
-    witness = Cochain0(space, 2, tuple(ident if v in first else flip
-                                       for v in range(1, g.vertex_count + 1)))
+    witness = Cochain0._of(space, 2, np.array([[0, 1] if v in first else [1, 0]
+                                               for v in range(1, g.vertex_count + 1)]))
     return H0Report(False, len(comps), witness)
 
 
@@ -647,8 +637,8 @@ def h1_vanishing_check(x: PolygonalComplex, n_cap: int, *, root: int = 1,
     for degree in range(2, n_cap + 1):
         rows = _homomorphisms_cached(fp.presentation, degree, hom_guard)
         nontrivial = rows[rows.any(axis=1)]   # row 0 of _sym is the identity
-        witness = None if not len(nontrivial) else Cochain1(x, degree, _permutations(
-            _tree_trivial(nontrivial[:1], fp.generator_edges, len(x.skeleton.edges), degree)[0]))
+        witness = None if not len(nontrivial) else Cochain1._of(x, degree, _tree_trivial(
+            nontrivial[:1], fp.generator_edges, len(x.skeleton.edges), degree)[0])
         reports.append(H1Report(degree, not len(nontrivial), len(rows), len(nontrivial), witness))
     return tuple(reports)
 
@@ -684,13 +674,13 @@ class ProfileResult:
         return "\n".join(lines) + "\n"
 
 
-def _corrupt_values(values: tuple[Permutation, ...], level: float, degree: int,
-                    rng: np.random.Generator) -> tuple[Permutation, ...]:
-    out = list(values)
+def _corrupt_rows(rows: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
+    """rows, each redrawn with probability level as random_permutation draws."""
+    out = rows.copy()
     for i in range(len(out)):
         if rng.random() < level:
-            out[i] = random_permutation(degree, rng)
-    return tuple(out)
+            out[i] = rng.permutation(out.shape[1])
+    return out
 
 
 def stability_profile(obj: PolygonalComplex | Presentation, degree_n: int,
@@ -720,20 +710,19 @@ def stability_profile(obj: PolygonalComplex | Presentation, degree_n: int,
                 np.random.SeedSequence(entropy=seed, spawn_key=(row_index,))))
             base = homs[int(rng.integers(len(homs)))]   # _sym(degree_n) rows
             if kind == "cocycle":
-                start = Cochain1(obj, degree_n, _permutations(_tree_trivial(
-                    base[None], fp.generator_edges, len(obj.skeleton.edges), degree_n)[0]))
-                beta = Cochain0(obj, degree_n,
-                                tuple(random_permutation(degree_n, rng)
-                                      for _ in range(obj.skeleton.vertex_count)))
-                cocycle = act0on1(beta, start)
-                corrupted = Cochain1(obj, degree_n,
-                                     _corrupt_values(cocycle.values, level, degree_n, rng))
+                start = Cochain1._of(obj, degree_n, _tree_trivial(
+                    base[None], fp.generator_edges, len(obj.skeleton.edges), degree_n)[0])
+                beta = Cochain0._of(obj, degree_n, np.array(
+                    [rng.permutation(degree_n) for _ in range(obj.skeleton.vertex_count)],
+                    dtype=np.intp))
+                corrupted = Cochain1._of(obj, degree_n, _corrupt_rows(
+                    act0on1(beta, start).rows, level, rng))
                 local = cochain_norm(corrupted)
                 res = global_defect("cocycle", corrupted, cap, root=root,
                                     hom_guard=hom_guard, align_guard=align_guard)
             else:
-                corrupted_imgs = _corrupt_values(_permutations(_sym(degree_n)[0][base]),
-                                                 level, degree_n, rng)
+                corrupted_imgs = _permutations(_corrupt_rows(_sym(degree_n)[0][base],
+                                                             level, rng))
                 local = hom_local_defect(obj, corrupted_imgs).value
                 res = global_defect("hom", (obj, corrupted_imgs), cap,
                                     hom_guard=hom_guard)

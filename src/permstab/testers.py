@@ -98,7 +98,7 @@ def _hom_tables(p: Presentation, images: Sequence[Permutation]) -> list[np.ndarr
 
 def _cocycle_tables(a: Cochain1, every_orientation: bool) -> list[np.ndarray]:
     x = _require_polygons(a.space)
-    return _polygon_tables(x, _value_table(_images(a.values, a.degree)), every_orientation)
+    return _polygon_tables(x, _value_table(a.rows), every_orientation)
 
 
 def _cover_tables(c: Covering, x: PolygonalComplex,
@@ -110,8 +110,8 @@ def _cover_tables(c: Covering, x: PolygonalComplex,
     open lifts are the moved points of its polygon values; the tables are
     those of ``_cocycle_tables`` on the covering's edge values.
     """
-    images = _covering_images(c, x)
-    return _polygon_tables(_require_polygons(x), _value_table(images), every_orientation)
+    return _polygon_tables(_require_polygons(x), _value_table(_covering_images(c, x)),
+                           every_orientation)
 
 
 def _rate(mu: Sequence[Fraction], tables: list[np.ndarray]) -> Fraction:
@@ -226,14 +226,9 @@ def matrix_to_presentation(rows: Sequence[Sequence[int]]) -> Presentation:
 
 
 def vector_to_images(v: Sequence[int]) -> tuple[Permutation, ...]:
-    flip = Permutation([2, 1])
-    ident = Permutation.identity(2)
-    out = []
-    for bit in v:
-        if int(bit) not in (0, 1):
-            raise ValueError("vector entries must be 0 or 1")
-        out.append(flip if int(bit) else ident)
-    return tuple(out)
+    if any(int(bit) not in (0, 1) for bit in v):
+        raise ValueError("vector entries must be 0 or 1")
+    return tuple(Permutation([2, 1] if int(bit) else [1, 2]) for bit in v)
 
 
 def matrix_tester(rows: Sequence[Sequence[int]], v: Sequence[int],

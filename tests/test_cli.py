@@ -770,6 +770,52 @@ def test_defect_global_refuses_weights(tmp_path, capsys):
     assert err == "error: global defects are unweighted; --weights is for local defects\n"
 
 
+_GLOBAL_ONLY = (("--root", "99"), ("--tree", "1,2,banana"), ("--nmax", "0"),
+                ("--no-heuristic",), ("--guard-hom", "0"), ("--guard-align", "0"))
+
+
+@pytest.mark.parametrize("flag", _GLOBAL_ONLY, ids=lambda flag: flag[0])
+def test_defect_local_refuses_each_global_only_flag(tmp_path, capsys, flag):
+    # the local scope reads none of these, so it names the flag instead of
+    # printing the same value with any setting of it
+    path = str(write_cut_bundle(tmp_path))
+    capsys.readouterr()
+    argv = ("defect", "local", "--kind", "cocycle", "--input", path)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "value = 1/5" in out
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, out) == (1, "")
+    assert err == (f"error: defect local takes no {flag[0]}; "
+                   "those options are read by defect global\n")
+
+
+def test_defect_local_names_every_global_only_flag_given(tmp_path, capsys):
+    # an explicit default (--root 1) is a given flag too
+    path = str(write_cut_bundle(tmp_path))
+    capsys.readouterr()
+    code, out, err = run(capsys, "defect", "local", "--kind", "cocycle", "--input", path,
+                         "--nmax", "0", "--guard-hom", "0", "--root", "1")
+    assert (code, out) == (1, "")
+    assert err == ("error: defect local takes no --root, --nmax, --guard-hom; "
+                   "those options are read by defect global\n")
+
+
+def test_defect_global_keeps_its_defaults(tmp_path, capsys):
+    # the global scope fills the flags it was not given with their defaults
+    path = str(write_cut_bundle(tmp_path))
+    capsys.readouterr()
+    argv = ("defect", "global", "--kind", "cocycle", "--input", path)
+    explicit = ("--root", "1", "--guard-hom", str(stability.DEFAULT_HOM_GUARD),
+                "--guard-align", str(stability.DEFAULT_ALIGNMENT_GUARD))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == ("scope = global\nkind = cocycle\nupper_bound = 1/15\nn_max = 4\n"
+                   "exactness = heuristic\ndegrees_skipped = 3 4\n")
+    assert run(capsys, *argv, *explicit) == (0, out, "")
+    assert run(capsys, *argv, "--no-heuristic") == \
+        (2, "", "guard exceeded and --no-heuristic given\n")
+
+
 def test_weights_file_without_the_expected_key_names_it(tmp_path, capsys):
     fileio.save_json(FUZZ_COVER, tmp_path / "c.json")
     fileio.save_json(FUZZ_COCHAIN, tmp_path / "a.json")

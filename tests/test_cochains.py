@@ -316,3 +316,70 @@ def test_covering_to_cochain_with_reversed_stored_edges():
                                       lab.vertex_map, tuple(edge_map))),
         cov.degree, cov.fiber_labels)
     assert covering_to_cochain(flipped, x).values == a.values
+
+
+# ---------------------------------------------------------------------------
+# storage: read-only rows, lazily built values and covering graphs
+
+
+def test_cochains_from_permutations_and_from_rows_are_equal_and_hash_alike():
+    x = instances.complete_complex(4)
+    rng = np.random.default_rng(5)
+    for cls, cells in ((Cochain1, len(x.skeleton.edges)), (Cochain0, x.skeleton.vertex_count)):
+        values = instances.random_images(cells, 4, rng)
+        rows = np.array([p.images for p in values]) - 1
+        a, b = cls(x, 4, values), cls._of(x, 4, rows)
+        assert a == b and hash(a) == hash(b)
+        assert b.values == values and a.rows.tolist() == rows.tolist()
+        assert cls._of(x, 4, rows[::-1].copy()) != a
+    # equal rows of the other dimension or on another space are other cochains
+    tri = instances.triangle_complex()
+    rows = np.array([[1, 0], [0, 1], [1, 0]])
+    assert Cochain0._of(tri, 2, rows) != Cochain1._of(tri, 2, rows.copy())
+    assert Cochain1._of(tri, 2, rows) != Cochain1._of(tri.skeleton, 2, rows.copy())
+
+
+def test_cochain_storage_is_read_only():
+    x = instances.triangle_complex()
+    a = Cochain1(x, 2, (SWAP, ID2, SWAP))
+    for c in (a, tree_normalize(a, spanning_tree(x.skeleton, 1), 1)[0], coboundary0(
+            Cochain0(x, 2, (ID2, SWAP, SWAP)))):
+        with pytest.raises(ValueError):
+            c.rows[0, 0] = 1
+        with pytest.raises(AttributeError):
+            c.degree = 3
+    with pytest.raises(ValueError):
+        covering_to_cochain(cochain_to_covering(a), x).rows[0, 0] = 1
+
+
+def _eager_covering(alpha):
+    """The covering graph as cochain_to_covering built it from values, eagerly."""
+    from permstab.graphs import CombinatorialMap, Covering, LabeledGraph
+
+    g = cochains.skeleton_of(alpha.space)
+    n, count = alpha.degree, g.vertex_count
+    cover_edges = []
+    for (x, y), a in zip(g.edges, alpha.values):
+        ox, oy = (x - 1) * n, (y - 1) * n
+        cover_edges += zip([ox + i for i in a.images], range(oy + 1, oy + n + 1))
+    cover = Graph(count * n, tuple(cover_edges))
+    labeling = CombinatorialMap(cover, g, tuple(x for x in range(1, count + 1) for _ in range(n)),
+                                tuple(e for e in range(1, len(g.edges) + 1) for _ in range(n)))
+    fibers = tuple(tuple(range((x - 1) * n + 1, x * n + 1)) for x in range(1, count + 1))
+    return Covering(LabeledGraph(cover, labeling), n, fibers)
+
+
+def test_lazily_built_covering_graph_equals_the_eager_one(tmp_path):
+    from permstab import fileio
+
+    rng = np.random.default_rng(17)
+    for x in (*instances.corpus_complexes().values(), instances.cycle_graph(1), Graph(2, ())):
+        a = instances.random_cochain1(x, int(rng.integers(1, 5)), rng)
+        lazy, eager = cochain_to_covering(a), _eager_covering(a)
+        assert lazy.labeled == eager.labeled           # every field, Python ints included
+        assert lazy.fiber_labels == eager.fiber_labels
+        assert all(type(v) is int for e in lazy.graph.edges for v in e)
+        assert lazy == eager and hash(lazy) == hash(eager)
+        fileio.save_json(fileio.covering_to_dict(cochain_to_covering(a)), tmp_path / "lazy.json")
+        fileio.save_json(fileio.covering_to_dict(eager), tmp_path / "eager.json")
+        assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()

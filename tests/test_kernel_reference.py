@@ -6,12 +6,19 @@ references below evaluate one word at a time with ``path_value`` /
 ``evaluate_word`` and lift one point at a time through the covering graph,
 so they share no code with the fold.
 
+Every kernel that reads and writes cochain rows (the 0-cochain action,
+coboundaries, tree normalization, path values, coboundary membership, edge
+norms and distances, the orbit-distance relabeling) is checked against a
+small reference built from ``compose`` and ``Permutation.inverse`` loops on
+``values``, the form cochains held before they held rows.
+
 The Monte Carlo kernel of ``run_sampled`` (one uniform block per chunk and a
 guide-table constraint draw) is checked against the per-chunk loop with
 ``Generator.choice`` that it replaced: the outcomes must be equal, not just
 close.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -20,13 +27,18 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from permstab import instances
-from permstab.cochains import (Cochain1, coboundary_distance, cochain_norm,
-                               cochain_to_covering, covering_to_cochain, path_value)
+from permstab.cochains import (Cochain0, Cochain1, _injections, _relabeling, act0on1,
+                               coboundary0, coboundary_distance, cochain_distance,
+                               cochain_norm, cochain_to_covering, covering_to_cochain,
+                               edge_norm, is_coboundary, orbit_distance, path_value,
+                               skeleton_of, tree_normalize)
 from permstab.complexes import (PolygonalComplex, PolygonClass, Presentation,
                                 polygon_weights, presentation_complex)
 from permstab.graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
-                             origin, terminus)
-from permstab.perm import Permutation, evaluate_word, hamming_distance_with_errors
+                             origin, spanning_tree, terminus, tree_paths_to_root,
+                             vertex_stars)
+from permstab.perm import (Permutation, all_permutations, compose, evaluate_word,
+                           hamming_distance_with_errors)
 from permstab.testers import (_CHUNK, _cocycle_tables, _constraint_guide, _cover_tables,
                               _draw_constraints, _hom_tables, _sampled_rejections,
                               cover_local_defect, run_sampled)
@@ -273,6 +285,175 @@ def test_covering_to_cochain_reads_the_lifts(inst):
         for v in c.fiber_labels[u - 1]:
             w = terminus(c.graph, lift[v][e])
             assert a.values[e - 1](sheet[w]) == sheet[v]
+
+
+# ---------------------------------------------------------------------------
+# the rows kernels against compose / inverse loops on values
+
+
+def ref_path_value(a, path):
+    acc = Permutation.identity(a.degree)
+    for s in path:
+        p = a.values[abs(s) - 1]
+        acc = compose(acc, p if s > 0 else p.inverse())
+    return acc
+
+
+def ref_act0on1(beta, alpha):
+    g = skeleton_of(alpha.space)
+    return tuple(compose(compose(beta.values[u - 1].inverse(), p), beta.values[v - 1])
+                 for (u, v), p in zip(g.edges, alpha.values))
+
+
+def ref_coboundary0(b):
+    return tuple(compose(b.values[u - 1].inverse(), b.values[v - 1])
+                 for u, v in skeleton_of(b.space).edges)
+
+
+def ref_tree_normalize(alpha, tree, root):
+    beta = Cochain0(alpha.space, alpha.degree, tuple(
+        ref_path_value(alpha, p) for p in tree_paths_to_root(alpha.space.skeleton, tree, root)))
+    return ref_act0on1(beta, alpha), beta.values
+
+
+def ref_is_coboundary(a):
+    """The breadth-first propagation from the smallest vertex of each component."""
+    g = a.space.skeleton
+    vals = [None] * g.vertex_count
+    stars = vertex_stars(g)
+    for start in range(1, g.vertex_count + 1):
+        if vals[start - 1] is not None:
+            continue
+        vals[start - 1] = Permutation.identity(a.degree)
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            for s in stars[v - 1]:
+                w = origin(g, s)
+                if vals[w - 1] is None:
+                    p = a.values[abs(s) - 1]
+                    vals[w - 1] = compose(vals[v - 1], p.inverse() if s > 0 else p)
+                    queue.append(w)
+    beta = Cochain0(a.space, a.degree, tuple(vals))
+    return (True, beta.values) if ref_coboundary0(beta) == a.values else (False, None)
+
+
+def ref_cochain_distance(a, b, mu1):
+    return sum((w * hamming_distance_with_errors(p, q)
+                for w, p, q in zip(mu1, a.values, b.values)), Fraction(0))
+
+
+@st.composite
+def cochain0s(draw, x, n):
+    return Cochain0(x, n, tuple(draw(perms(n)) for _ in range(x.skeleton.vertex_count)))
+
+
+@given(st.data())
+def test_action_and_coboundary_match_compose_loops(data):
+    a = data.draw(cochains())
+    b = data.draw(cochain0s(a.space, a.degree))
+    assert act0on1(b, a).values == ref_act0on1(b, a)
+    assert coboundary0(b).values == ref_coboundary0(b)
+
+
+@given(st.data())
+def test_tree_normalize_matches_path_products(data):
+    a = data.draw(cochains())
+    root = data.draw(st.integers(1, a.space.skeleton.vertex_count))
+    tree = spanning_tree(a.space.skeleton, root)
+    out, beta = tree_normalize(a, tree, root)
+    assert (out.values, beta.values) == ref_tree_normalize(a, tree, root)
+
+
+@given(st.data())
+def test_path_value_matches_compose_loop(data):
+    a = data.draw(cochains())
+    m = len(a.space.skeleton.edges)
+    path = data.draw(st.lists(st.integers(1, m).flatmap(lambda k: st.sampled_from([k, -k])),
+                              max_size=7))
+    assert path_value(a, path) == ref_path_value(a, path)
+
+
+@given(st.data())
+def test_is_coboundary_matches_propagation(data):
+    x = data.draw(st.sampled_from(SPACES))
+    n = data.draw(st.integers(1, 5))
+    # half the draws are coboundaries, which random cochains almost never are
+    a = coboundary0(data.draw(cochain0s(x, n))) if data.draw(st.booleans()) \
+        else data.draw(cochains(x, n))
+    found, beta = is_coboundary(a)
+    ref_found, ref_beta = ref_is_coboundary(a)
+    assert found == ref_found
+    assert (beta.values if found else beta) == ref_beta
+
+
+@pytest.mark.filterwarnings("ignore:mu")
+@given(st.data())
+def test_edge_norm_and_cochain_distance_match_hamming_loops(data):
+    a = data.draw(cochains())
+    b = data.draw(cochains(a.space, data.draw(st.integers(1, 6))))   # mixed degrees too
+    ws = data.draw(weights(a.space))
+    m = len(a.space.skeleton.edges)
+    mu1 = ws.mu1 if ws is not None else [Fraction(1, m)] * m
+    assert cochain_distance(a, b, ws) == ref_cochain_distance(a, b, mu1)
+    assert cochain_distance(b, a, ws) == ref_cochain_distance(b, a, mu1)
+    ident = Cochain1(a.space, a.degree, (Permutation.identity(a.degree),) * m)
+    assert edge_norm(a, ws) == ref_cochain_distance(a, ident, mu1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_relabeling_matches_injection_extension(data):
+    # beta(x) is the injection at x extended by the unused points in increasing
+    # order, and the witness is beta.candidate
+    x = data.draw(st.sampled_from(SPACES[:3] + [MIXED]))
+    big = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, big))
+    candidate = data.draw(cochains(x, big))
+    v = x.skeleton.vertex_count
+    flat = data.draw(st.integers(0, len(_injections(n, big)) ** v - 1))
+    beta, witness = _relabeling(x, candidate.rows, n, flat)
+    idx = np.unravel_index(flat, (len(_injections(n, big)),) * v)
+    ref_beta = tuple(Permutation(list(m) + [p for p in range(1, big + 1) if p not in m])
+                     for m in (_injections(n, big)[list(idx)] + 1).tolist())
+    assert beta.values == ref_beta
+    assert witness.values == ref_act0on1(beta, candidate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbit_distance_witness_is_a_closest_relabeling(data):
+    x = data.draw(st.sampled_from([instances.bouquet_a3(), instances.torus_complex(),
+                                   instances.triangle_complex(), MIXED]))
+    n = data.draw(st.integers(1, 3))
+    alpha = data.draw(cochains(x, n))
+    candidate = data.draw(cochains(x, data.draw(st.integers(n, 3))))
+    res = orbit_distance(alpha, candidate)
+    mu1 = [Fraction(1, len(x.skeleton.edges))] * len(x.skeleton.edges)
+    assert res.witness.values == ref_act0on1(res.beta, candidate)
+    assert ref_cochain_distance(alpha, res.witness, mu1) == res.value
+    # no relabeling of the candidate comes closer
+    best = min(ref_cochain_distance(alpha, Cochain1(x, candidate.degree, ref_act0on1(
+                   Cochain0(x, candidate.degree, beta), candidate)), mu1)
+               for beta in itertools.product(all_permutations(candidate.degree),
+                                             repeat=x.skeleton.vertex_count))
+    assert best == res.value
+
+
+@given(st.data())
+def test_covering_round_trip_on_relabeled_fibers(data):
+    # the round trip returns the cochain, through the held lift table and
+    # through the covering graph; listing fiber x as the vertices
+    # (x-1)n + beta(x)(i) in order i = 1..n reads off beta.a instead
+    a = data.draw(cochains())
+    beta = data.draw(cochain0s(a.space, a.degree))
+    x, n, c = a.space, a.degree, cochain_to_covering(a)
+    assert covering_to_cochain(c, x) == a
+    assert covering_to_cochain(Covering(c.labeled, n, c.fiber_labels), x) == a
+    fibers = tuple(tuple(k * n + i for i in p.images) for k, p in enumerate(beta.values))
+    relabeled = covering_to_cochain(Covering(c.labeled, n, fibers), x)
+    assert relabeled == act0on1(beta, a)
+    assert covering_to_cochain(cochain_to_covering(relabeled), x) == relabeled
 
 
 # ---------------------------------------------------------------------------
