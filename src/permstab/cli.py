@@ -15,6 +15,7 @@ without alignment because --guard-align tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -372,7 +373,7 @@ def cmd_generate(args) -> int:
             "images": [list(p.images) for p in ci.images]})
     elif family == "random":
         d = fileio._int(params.get("d", 4), "parameter d")
-        n = fileio._int(params.get("n", 2), "parameter n")
+        n = fileio._int(params.get("n", 3), "parameter n")
         target = fileio.frac_from_str(params.get("target", "1/4"))
         tol = fileio.frac_from_str(params.get("tol", "1/10"))
         x = instances.complete_complex(d)
@@ -416,7 +417,10 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, **_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The permstab parser, built once per process: parsing reads it and never
+    changes it, and its defaults are immutable, so every call shares it."""
     top = argparse.ArgumentParser(prog="permstab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

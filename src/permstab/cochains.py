@@ -67,6 +67,10 @@ class _Cochain:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # unpickled through _of, so that the rows come back read-only
+        return type(self)._of, (self.space, self.degree, self.rows)
+
     @cached_property
     def values(self) -> tuple[Permutation, ...]:
         return _permutations(self.rows)

@@ -222,12 +222,21 @@ class Covering:
 
     @classmethod
     def _of_lifts(cls, base: Graph, degree: int, lifts) -> "Covering":
+        lifts.flags.writeable = False
         c = object.__new__(cls)
         vars(c).update(degree=degree, base=base, _lifts=lifts)
         return c
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Covering is immutable")
+
+    def __reduce__(self):
+        # unpickled through a constructor, so that a lift table comes back
+        # read-only: the labeled graph once it exists, which keeps the
+        # fiber labels as given, and else the table itself
+        if "labeled" in vars(self):
+            return type(self), (self.labeled, self.degree, self.fiber_labels)
+        return type(self)._of_lifts, (self.base, self.degree, self._lifts)
 
     @cached_property
     def labeled(self) -> LabeledGraph:

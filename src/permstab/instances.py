@@ -192,7 +192,9 @@ def random_cochain_at_defect(x: PolygonalComplex, n: int, target: Fraction,
                              tol: Fraction, rng: np.random.Generator,
                              max_tries: int = 10000) -> tuple[Cochain1, Fraction]:
     """Rejection-sample a corrupted cochain whose exact local defect is within
-    tol of the target; returns it together with the achieved defect."""
+    tol of the target; returns it together with the achieved defect.  Raises
+    ValueError when no draw in max_tries lands there, as when no degree-n
+    cochain on x has such a defect."""
     target = Fraction(target)
     tol = Fraction(tol)
     m = len(x.skeleton.edges)
@@ -205,4 +207,4 @@ def random_cochain_at_defect(x: PolygonalComplex, n: int, target: Fraction,
         defect = cochain_norm(cand)
         if abs(defect - target) <= tol:
             return cand, defect
-    raise RuntimeError(f"could not hit defect {target} within {tol} in {max_tries} tries")
+    raise ValueError(f"could not hit defect {target} within {tol} in {max_tries} tries")

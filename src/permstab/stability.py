@@ -73,17 +73,45 @@ def _sym(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @lru_cache(maxsize=512)
 def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> np.ndarray:
     """The homomorphisms into Sym(degree) as a read-only (H, generators) array
-    of _sym(degree) rows, in lexicographic order."""
+    of _sym(degree) rows, in lexicographic order.
+
+    A one-letter relator pins its generator to the identity, so pinned
+    letters are deleted from every relator until no one-letter relator is
+    left; only the other generators are searched, and the pinned columns
+    hold row 0.  Pinned columns are constant, so the order is unchanged.
+    """
     if _hom_guard_refuses(p.generator_count, degree, guard):
         raise GuardExceeded(
             f"homomorphism search space {math.factorial(degree)}^{p.generator_count} "
             f"exceeds guard {guard}")
-    images, inverses = _sym(degree)[:2] if p.generator_count else (None, None)
+    relators, pinned = p.relators, set()
+    while True:
+        relators = [tuple(s for s in r if abs(s) not in pinned) for r in relators]
+        newly = {abs(r[0]) for r in relators if len(r) == 1}
+        if not newly:
+            break
+        pinned |= newly
+    free = [g for g in range(1, p.generator_count + 1) if g not in pinned]
+    renumber = {g: i for i, g in enumerate(free, start=1)}
+    found = _backtrack(len(free), [tuple(renumber[s] if s > 0 else -renumber[-s] for s in r)
+                                   for r in relators if r], degree)
+    rows = np.zeros((len(found), p.generator_count), dtype=np.intp)
+    rows[:, np.asarray(free, dtype=np.intp) - 1] = found
+    rows.flags.writeable = False
+    return rows
+
+
+def _backtrack(generator_count: int, relators: Sequence[tuple[int, ...]],
+               degree: int) -> np.ndarray:
+    """The assignments of _sym(degree) rows to the generators that kill every
+    relator, none of them empty, as an (H, generator_count) array in
+    lexicographic order."""
+    images, inverses = _sym(degree)[:2] if generator_count else (None, None)
     ident = np.arange(degree)
     # a relator can be checked once every generator it mentions is assigned
-    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(p.generator_count + 1)]
-    for r in p.relators:
-        by_level[max((abs(s) for s in r), default=0)].append(r)
+    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(generator_count + 1)]
+    for r in relators:
+        by_level[max(abs(s) for s in r)].append(r)
     found: list[np.ndarray] = []
     chosen: list[int] = []  # rows of the generators assigned so far
 
@@ -112,7 +140,7 @@ def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> np.ndarra
 
     def back(level: int) -> None:
         rows = survivors(level + 1)
-        if level + 1 == p.generator_count:
+        if level + 1 == generator_count:
             found.append(np.empty((len(rows), level + 1), dtype=np.intp))
             found[-1][:, :-1], found[-1][:, -1] = chosen, rows
             return
@@ -121,25 +149,25 @@ def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> np.ndarra
             back(level + 1)
             chosen.pop()
 
-    if p.generator_count:
+    if generator_count:
         back(0)
-    else:   # only empty relators can exist, and they hold vacuously
+    else:   # with no generator there is no relator left to check
         found.append(np.zeros((1, 0), dtype=np.intp))
-    rows = np.concatenate(found)
-    rows.flags.writeable = False
-    return rows
+    return np.concatenate(found)
 
 
 def enumerate_homomorphisms(p: Presentation, degree: int,
                             guard: int = DEFAULT_HOM_GUARD) -> list[tuple[Permutation, ...]]:
     """All generator assignments into Sym(degree) killing every relator.
 
-    Backtracking in lexicographic order of image tuples.  A relator is checked
-    at the level of its highest generator, for every choice of that generator
-    in one batched numpy fold over the (degree!, degree) image array, and the
-    search recurses over the surviving choices in ascending order.  The search
-    keeps Sym(degree) row indices; this wraps them as Permutations.  Refuses
-    when the raw search space |Sym(degree)|^generators exceeds the guard.
+    Generators that one-letter relators pin to the identity are fixed first;
+    the rest are found by backtracking in lexicographic order of image
+    tuples.  A relator is checked at the level of its highest generator, for
+    every choice of that generator in one batched numpy fold over the
+    (degree!, degree) image array, and the search recurses over the
+    surviving choices in ascending order.  The search keeps Sym(degree) row
+    indices; this wraps them as Permutations.  Refuses when the raw search
+    space |Sym(degree)|^generators exceeds the guard.
     """
     perms = _permutations(_sym(degree)[0]) if p.generator_count else ()
     return [tuple(perms[i] for i in row)

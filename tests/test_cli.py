@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,16 @@ def test_equiv_on_random_family(tmp_path, capsys):
     assert "exact_defect" in meta
 
 
+def test_generate_random_at_its_defaults(tmp_path, capsys):
+    # complete-4 at degree 2 cannot reach the default target 1/4 +- 1/10
+    assert main(["generate", "--family", "random", "--output-dir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "random-meta.json").read_text())
+    assert meta == {"exact_defect": "1/3", "seed": 1729, "target": "1/4"}
+    capsys.readouterr()
+    code, out, err = run(capsys, "equiv", "--input", str(tmp_path / "random-cochain.json"))
+    assert (code, out, err) == (0, MANY_VERTEX_EQUIV, "")
+
+
 def test_guard_without_fallback_exits_2(tmp_path, capsys):
     fileio.save_json(fileio.complex_to_dict(instances.torus_complex()),
                      tmp_path / "t.json")
@@ -460,6 +471,7 @@ def test_profile_levels_outside_the_unit_interval_exit_1(tmp_path, capsys):
     ("cycle", '[4]', "--params must be a JSON object"),
     ("random", '{"n": 2.0}', "parameter n must be an integer"),
     ("random", '{"tol": null}', "a rational must be a number"),
+    ("random", '{"n": 2}', "could not hit defect 1/4 within 1/10 in 10000 tries"),
     ("bouquet", '{"relators": [[1, 1.0]]}', "relator 1 entry 2 must be an integer"),
     ("bouquet", '{"relators": 5}', "parameter relators must be a list"),
     ("bouquet", '{"generators": "2"}', "parameter generators must be an integer"),
@@ -855,3 +867,44 @@ def test_cheeger_classical_has_no_dimension_1(tmp_path, capsys):
     assert err == "error: the classical Cheeger constant has dimension 0 only\n"
     with pytest.raises(ValueError, match="dimension 0 only"):
         stability.cheeger(instances.complete_graph(4), 1, "classical")
+
+
+def _parser_defaults(parser: argparse.ArgumentParser) -> list:
+    """Every default the parser and its subparsers hold, per action and set_defaults."""
+    out = list(parser._defaults.values())
+    for action in parser._actions:
+        out.append(action.default)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out += _parser_defaults(sub)
+    return out
+
+
+def test_the_parser_is_built_once_with_immutable_defaults():
+    assert build_parser() is build_parser()
+    # every call shares the parser, so a list or dict default would carry
+    # one call's changes into the next
+    kinds = {type(d) for d in _parser_defaults(build_parser())}
+    assert kinds <= {type(None), bool, int, str, types.FunctionType}, kinds
+
+
+def test_calls_in_one_process_do_not_affect_each_other(tmp_path, capsys):
+    path = str(write_cut_bundle(tmp_path))
+    capsys.readouterr()
+    local = ("defect", "local", "--kind", "cocycle", "--input", path)
+    global_ = ("defect", "global", "--kind", "cocycle", "--input", path, "--nmax", "3")
+    first = [run(capsys, *argv) for argv in (local, global_)]
+    assert [code for code, *_ in first] == [0, 0]
+    helps = []
+    # an argparse error exits 2 and --help exits 0, both by SystemExit
+    for argv, status in ((("defect", "local", "--kind", "nope"), 2),
+                         (("defect", "--help"), 0), (("defect", "--help"), 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == status
+        helps.append(capsys.readouterr())
+    assert "invalid choice" in helps[0].err and helps[1] == helps[2]
+    assert [run(capsys, *argv) for argv in (local, global_)] == first
+    # defect global fills its defaults onto its namespace, not onto the parser
+    code, out, err = run(capsys, *local, "--root", "1")
+    assert (code, out) == (1, "") and "takes no --root;" in err

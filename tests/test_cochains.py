@@ -1,11 +1,12 @@
 import itertools
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from permstab import cochains, instances
+from permstab import cochains, fileio, instances
 from permstab.cochains import (Cochain0, Cochain1, act0on1, coboundary0,
                                coboundary1, coboundary_distance,
                                cochain_distance, cochain_norm,
@@ -383,3 +384,18 @@ def test_lazily_built_covering_graph_equals_the_eager_one(tmp_path):
         fileio.save_json(fileio.covering_to_dict(cochain_to_covering(a)), tmp_path / "lazy.json")
         fileio.save_json(fileio.covering_to_dict(eager), tmp_path / "eager.json")
         assert (tmp_path / "lazy.json").read_bytes() == (tmp_path / "eager.json").read_bytes()
+
+
+def test_pickle_round_trips_keep_tables_read_only():
+    x = instances.triangle_complex()
+    a = Cochain1(x, 3, (Permutation([2, 3, 1]), Permutation([2, 1, 3]), Permutation([1, 2, 3])))
+    d = fileio.covering_to_dict(cochain_to_covering(a))
+    d["fiber_labels"]["1"] = d["fiber_labels"]["1"][::-1]   # not the canonical labels
+    loaded = fileio.covering_from_dict(d)
+    covering_to_cochain(loaded, x)   # caches the lift table it checked
+    for obj, table in ((Cochain0(x, 2, (SWAP, ID2, SWAP)), "rows"), (a, "rows"),
+                       (cochain_to_covering(a), "_lifts"), (loaded, "_lifts")):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj), obj
+        assert np.array_equal(getattr(back, table), getattr(obj, table)), obj
+        assert not getattr(back, table).flags.writeable, obj

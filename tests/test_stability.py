@@ -83,14 +83,44 @@ def presentations(draw):
     return Presentation(gens, tuple(relators)), draw(st.integers(1, 4))
 
 
+def _brute_force_homomorphisms(p: Presentation, degree: int) -> list:
+    return [h for h in itertools.product(all_permutations(degree), repeat=p.generator_count)
+            if all(not r or evaluate_word(r, h).is_identity() for r in p.relators)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(presentations())
 def test_enumerate_homomorphisms_equals_brute_force(case):
     p, degree = case
-    reference = [h for h in itertools.product(all_permutations(degree),
-                                              repeat=p.generator_count)
-                 if all(not r or evaluate_word(r, h).is_identity() for r in p.relators)]
+    reference = _brute_force_homomorphisms(p, degree)
     assert enumerate_homomorphisms(p, degree) == reference
+
+
+@st.composite
+def pinned_presentations(draw):
+    """Presentations with one-letter relators injected in a chain: each link
+    is one letter once the generators pinned before it are deleted."""
+    p, _ = draw(presentations())
+    gens = max(p.generator_count, 1)
+    order = draw(st.permutations(range(1, gens + 1)))
+    chain = order[:draw(st.integers(1, gens))]
+    relators = list(p.relators)
+    for k, g in enumerate(chain):
+        earlier = [s for h in chain[:k] for s in (h, -h)]
+        word = draw(st.lists(st.sampled_from(earlier), max_size=3)) if earlier else []
+        word.insert(draw(st.integers(0, len(word))), draw(st.sampled_from((g, -g))))
+        relators.insert(draw(st.integers(0, len(relators))), tuple(word))
+    return Presentation(gens, tuple(relators)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pinned_presentations())
+@example((Presentation(3, ((1, 2, 3), (2, -1), (1,))), 3))
+def test_pinned_generators_keep_the_brute_force_homomorphisms(case):
+    # the search fixes pinned generators to the identity and backtracks over
+    # the rest; the list and its order must be those of the plain product
+    p, degree = case
+    assert enumerate_homomorphisms(p, degree) == _brute_force_homomorphisms(p, degree)
 
 
 def test_class_representatives_are_the_first_of_each_conjugacy_class():
