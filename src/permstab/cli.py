@@ -228,9 +228,8 @@ def cmd_spectral(args) -> int:
 
 def cmd_h1check(args) -> int:
     x = _load_kind(args.input, "complex")
-    reports = h1_vanishing_check(x, args.ncap, root=args.root,
-                                 tree=_parse_tree(args.tree),
-                                 hom_guard=args.guard_hom)
+    # the counts do not depend on the spanning tree, which chooses only the witness
+    reports = h1_vanishing_check(x, args.ncap, hom_guard=args.guard_hom)
     for r in reports:
         print(f"N={r.degree} vanishes={r.vanishes} "
               f"nontrivial_homomorphisms={r.nontrivial_count}")
@@ -474,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h1check", help="first cohomology vanishing up to a degree cap")
     p.add_argument("--input", required=True)
     p.add_argument("--ncap", type=int, default=3)
-    _add_common(p, "--root", "--tree", "--guard-hom")
+    _add_common(p, "--guard-hom")
     p.set_defaults(func=cmd_h1check)
 
     p = sub.add_parser("weights", help="edge distribution induced by a polygon distribution")

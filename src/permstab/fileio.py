@@ -18,8 +18,8 @@ from typing import Any
 from .cochains import Cochain0, Cochain1, skeleton_of
 from .complexes import (PolygonalComplex, Presentation, polygon_orbit,
                         polygon_weights)
-from .graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
-                     check_covering, validate_graph, validate_map)
+from .graphs import (CombinatorialMap, Covering, Graph, LabeledGraph, _checked_covering,
+                     validate_graph, validate_map)
 from .perm import Permutation
 
 
@@ -123,19 +123,12 @@ def covering_to_dict(c: Covering) -> dict[str, Any]:
 
 
 def covering_from_dict(d: dict[str, Any]) -> Covering:
-    """Load a covering, checking the map, star bijections, fiber sizes and labels.
-
-    Raises ValueError naming the offending vertex: the map must pass
-    ``check_covering`` and each stored fiber must list exactly its fiber.
-    """
+    """A covering with its stored fiber labels, checked once as ``check_covering``
+    checks a map; raises ValueError naming the offending vertex."""
     labeling = _labeling_from_dict(d)
-    canonical = check_covering(labeling, _int(d["degree"], "degree"))
     fibers = tuple(tuple(_int_list(d["fiber_labels"][str(x)], "fiber labels over vertex %d", x))
                    for x in range(1, labeling.target.vertex_count + 1))
-    for x, (stored, fib) in enumerate(zip(fibers, canonical.fiber_labels), start=1):
-        if sorted(stored) != list(fib):
-            raise ValueError(f"fiber labels over vertex {x} are not a labeling of its fiber")
-    return Covering(canonical.labeled, canonical.degree, fibers)
+    return _checked_covering(labeling, _int(d["degree"], "degree"), fibers)
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,9 @@ class Covering:
     ``fiber_labels[x-1]`` lists the covering vertices over base vertex x in
     label order, i.e. position i-1 carries sheet label i.  The edge values
     are the lift table ``_lifts``, read off the labeled graph and checked on
-    first use; a covering made by ``cochains.cochain_to_covering`` holds the
-    table and builds its labeled graph and canonical fibers when first read.
+    first use, which ``check_covering`` and the file loader make; a covering
+    made by ``cochains.cochain_to_covering`` holds the table and builds its
+    labeled graph and canonical fibers when first read.
     """
 
     def __init__(self, labeled: LabeledGraph, degree: int,
@@ -264,30 +265,35 @@ class Covering:
     @cached_property
     def _lifts(self):
         """Read-only (edges, degree) rows: row e-1 sends the 0-based sheet of the
-        terminus of each lift of e to the sheet of its origin.  Raises
-        ValueError unless the fibers list each covering vertex once, every
-        covering edge carries a base edge label and joins the fibers over its
-        ends, and the lifts of every base edge form a bijection of the sheets."""
-        base = self.base
-        n, m, size = self.degree, len(base.edges), self.graph.vertex_count
+        terminus of each lift of e to the sheet of its origin.  The one check of
+        the covering condition: raises ValueError unless the fibers list once
+        each the covering vertices over each base vertex, every covering edge
+        joins the fibers over the ends of its base edge label, and every
+        covering vertex ends exactly one lift of each base edge end."""
+        base, graph, labeling = self.base, self.graph, self.labeled.labeling
+        n, m, size, k = self.degree, len(base.edges), graph.vertex_count, len(graph.edges)
         fibers = self.fiber_labels
         if n < 1 or size != n * base.vertex_count or len(fibers) != base.vertex_count \
                 or any(len(f) != n for f in fibers):
             raise ValueError(f"a degree-{n} covering needs {base.vertex_count} fibers of "
                              f"{n} covering vertices each")
-        labels = np.fromiter(itertools.chain.from_iterable(fibers), np.intp, size)
-        if (np.sort(labels) != np.arange(1, size + 1)).any():
-            raise ValueError(f"fiber labels must list each covering vertex 1..{size} once")
-        edge_map = self.labeled.labeling.edge_map
-        if len(self.graph.edges) != m * n or len(edge_map) != m * n:
-            raise ValueError(f"a degree-{n} covering needs {m * n} labeled edges")
+        if len(labeling.vertex_map) != size or len(labeling.edge_map) != k:
+            raise ValueError("the labeling needs one label per covering vertex and edge")
         # pos[v] = (x-1)n + sheet index of covering vertex v over base vertex x;
         # ids outside 1..size read the -1 kept at both ends
-        pos = np.full(size + 2, -1)
-        pos[labels] = np.arange(size)
-        ends = np.fromiter(itertools.chain.from_iterable(self.graph.edges), np.intp, 2 * m * n)
-        ends = pos[np.minimum(np.maximum(ends, 0), size + 1)].reshape(-1, 2)
-        lbl = np.fromiter(edge_map, np.intp, m * n)
+        labels = np.fromiter(itertools.chain.from_iterable(fibers), np.intp, size)
+        ids, pos = np.clip(labels, 0, size + 1), np.full(size + 2, -1)
+        pos[ids] = np.arange(size)
+        # a label that the vertex map puts elsewhere (ids outside 1..size read
+        # base vertex 0), or that a later one repeats
+        bad = (np.array([0, *labeling.vertex_map, 0])[ids] != np.arange(size) // n + 1) \
+            | (pos[ids] != np.arange(size))
+        if bad.any():
+            raise ValueError(f"fiber labels over vertex {int(bad.argmax()) // n + 1} are not a "
+                             "labeling of its fiber")
+        ends = np.fromiter(itertools.chain.from_iterable(graph.edges), np.intp, 2 * k)
+        ends = pos[np.clip(ends, 0, size + 1)].reshape(-1, 2)
+        lbl = np.fromiter(labeling.edge_map, np.intp, k)
         ends = np.where((lbl > 0)[:, None], ends, ends[:, ::-1])   # orient along +|label|
         # 0-based (origin, terminus) of each base edge; labels outside +-1..m read
         # row 0 or m+1, which no covering edge can match
@@ -295,12 +301,17 @@ class Covering:
         over = np.array([(-1, -1), *base.edges, (-1, -1)], dtype=np.intp) - 1
         if (ends // n != over[e]).any():
             raise ValueError("a covering edge does not join the fibers over the ends of its label")
-        images = np.full((m, n), -1, dtype=np.intp)
+        # count[e-1, j, i]: the lifts of e whose origin (j = 0) or terminus (j = 1)
+        # has sheet i, and at[e-1, j, i] that covering vertex
+        count = np.bincount(((e[:, None] - 1) * 2 * n + [0, n] + ends % n).ravel(),
+                            minlength=2 * m * n).reshape(m, 2, n)
+        if (count != 1).any():
+            at = labels[over[1:-1, :, None] * n + np.arange(n)]
+            v = int(at[count != 1].min())
+            kind = "injective" if (count[at == v] > 1).any() else "surjective"
+            raise ValueError(f"star not {kind} at vertex {v}")
+        images = np.empty((m, n), dtype=np.intp)
         images[e - 1, ends[:, 1] % n] = ends[:, 0] % n
-        bijective = np.sort(images, axis=1) == np.arange(n)
-        if not bijective.all():
-            raise ValueError(f"the lifts of edge {int(bijective.all(axis=1).argmin()) + 1} "
-                             "are not a bijection of the sheets")
         images.flags.writeable = False
         return images
 
@@ -316,31 +327,23 @@ class Covering:
 
 
 def check_covering(f: CombinatorialMap, n: int) -> Covering:
-    """Verify the star-bijection property and fiber sizes; build canonical labels.
+    """The degree-n covering labeled by f, its sheets numbered by ascending vertex
+    id in each fiber; raises ValueError naming the offending vertex on failure."""
+    return _checked_covering(f, n, None)
 
-    Raises ValueError naming the offending vertex on failure.  Fiber labels are
-    canonical: sheets are numbered in ascending source-vertex id within each
-    fiber.
-    """
+
+def _checked_covering(f: CombinatorialMap, n: int, fibers: tuple | None) -> Covering:
+    """The covering of f with these fiber labels (canonical when None), kept
+    with the lift table of ``Covering._lifts``, which decides the condition."""
     rep = validate_map(f)
     if not rep.ok:
         raise ValueError(f"not a combinatorial map: {rep.message}")
     if not is_connected(f.target):
         raise ValueError("covering target must be connected")
-    src_stars = vertex_stars(f.source)
-    tgt_stars = vertex_stars(f.target)
-    for y in range(1, f.source.vertex_count + 1):
-        images = [f.map_edge(s) for s in src_stars[y - 1]]
-        if len(set(images)) != len(images):
-            raise ValueError(f"star not injective at vertex {y}")
-        if set(images) != set(tgt_stars[f.map_vertex(y) - 1]):
-            raise ValueError(f"star not surjective at vertex {y}")
     labeled = LabeledGraph(f.source, f)
-    fibers = _fibers(labeled)
-    for x, fib in enumerate(fibers, start=1):
-        if len(fib) != n:
-            raise ValueError(f"fiber over vertex {x} has size {len(fib)}, expected {n}")
-    return Covering(labeled, n, tuple(map(tuple, fibers)))
+    c = Covering(labeled, n, tuple(map(tuple, _fibers(labeled))) if fibers is None else fibers)
+    c._lifts   # the check; the covering keeps the table
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -241,14 +241,14 @@ def _closest(rows: np.ndarray, targets: np.ndarray, degree: int, fixed: int,
 
 
 def _search(n: int, n_max: int, refused, measure
-            ) -> tuple[Fraction, object, bool, tuple[int, ...]]:
+            ) -> tuple[Fraction, Callable[[], object], bool, tuple[int, ...]]:
     """Minimize a distance over the candidates of every degree in [n, n_max].
 
     ``measure(N)`` returns ``(distance, witness, exact)`` for the first
     closest degree-N candidate, with ``witness`` a thunk that builds it, and
-    raises GuardExceeded exactly when ``refused(N)``; only the returned witness
-    is built.  Returns the bound, its witness, whether every degree was
-    searched exactly, and the degrees skipped by the floor of the module
+    raises GuardExceeded exactly when ``refused(N)``; no witness is built.
+    Returns the bound, its witness thunk, whether every degree was searched
+    exactly, and the degrees skipped by the floor of the module
     docstring (a refused one still clears ``exact``).  A zero distance ends
     the search, exact.  ``n_max < n`` raises ValueError, not GuardExceeded.
     """
@@ -271,10 +271,10 @@ def _search(n: int, n_max: int, refused, measure
         if best is None or d < best:
             best, make_witness = d, witness
             if best == 0:   # exact whatever the guards did: no degree goes below 0
-                return best, make_witness(), True, tuple(skipped)
+                return best, make_witness, True, tuple(skipped)
     if best is None:
         raise GuardExceeded("no degree could be searched; raise the guards")
-    return best, make_witness(), exact, tuple(skipped)
+    return best, make_witness, exact, tuple(skipped)
 
 
 _TRIVIAL = Presentation(0, ())   # one homomorphism: the identity cochain's orbit
@@ -282,7 +282,7 @@ _TRIVIAL = Presentation(0, ())   # one homomorphism: the identity cochain's orbi
 
 def _orbit_search(alpha: Cochain1, presentation: Presentation,
                   generator_edges: Sequence[int], n_max: int, hom_guard: int,
-                  align_guard: int) -> tuple[Fraction, Cochain1, bool, tuple[int, ...]]:
+                  align_guard: int) -> tuple[Fraction, Callable, bool, tuple[int, ...]]:
     """``_search`` over the relabeling orbits of tree-trivial cochains: those
     with the images of a homomorphism of ``presentation`` on
     ``generator_edges`` and the identity elsewhere.  A degree is refused when
@@ -385,7 +385,7 @@ def global_defect(kind: str, obj, n_max: int | None = None, *,
         return replace(inner, kind="cover", witness=cochain_to_covering(inner.witness))
     else:
         raise ValueError(f"unknown global defect kind {kind!r}")
-    return GlobalDefectResult(kind, best, wit, cap,
+    return GlobalDefectResult(kind, best, wit(), cap,
                               "exact-within-cap" if exact else "heuristic", skipped)
 
 
@@ -399,7 +399,8 @@ def distance_to_coboundaries(alpha: Cochain1, n_max: int | None = None,
     ``_TRIVIAL``, so this is one ``_orbit_search``: one alignment per degree.
     """
     cap = alpha.degree + 2 if n_max is None else n_max
-    return _orbit_search(alpha, _TRIVIAL, (), cap, DEFAULT_HOM_GUARD, align_guard)[:3]
+    best, wit, exact, _ = _orbit_search(alpha, _TRIVIAL, (), cap, DEFAULT_HOM_GUARD, align_guard)
+    return best, wit(), exact
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +599,11 @@ def cheeger(space: PolygonalComplex | Graph, dimension: int = 0,
             if dimension == 0:
                 den = distance_to_constants(a, per_component=variant == "cocycle")
             else:
-                den, _, den_exact = (
-                    _orbit_search(a, fp.presentation, free, degree + 2, hom_guard,
-                                  align_guard)[:3] if variant == "cocycle"
-                    else distance_to_coboundaries(a, degree + 2, align_guard))
+                # the bound alone: the witness thunk is never called
+                den, _, den_exact, _ = (
+                    _orbit_search(a, fp.presentation, free, degree + 2, hom_guard, align_guard)
+                    if variant == "cocycle" else
+                    _orbit_search(a, _TRIVIAL, (), degree + 2, DEFAULT_HOM_GUARD, align_guard))
                 exact = exact and den_exact
             ratio = num / den
             if best is None or ratio < best:

@@ -385,7 +385,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "cheeger": {"--input", "--dimension", "--variant", "--coeff-cap", "--format",
                     "--no-heuristic", "--guard-enum", *guards},
         "spectral": {"--input", "--format"},
-        "h1check": {"--input", "--ncap", "--root", "--tree", "--guard-hom"},
+        "h1check": {"--input", "--ncap", "--guard-hom"},
         "weights": {"--input", "--format", "--weights"},
         "profile": {"--input", "--n", "--grid", "--samples", "--output", "--seed",
                     "--root", "--nmax", "--no-heuristic", *guards},

@@ -161,3 +161,14 @@ def test_covering_load_validates_its_map_once(monkeypatch):
         fileio.covering_from_dict(d)
     with pytest.raises(ValueError, match="^invalid labeling: vertex 1 maps outside target$"):
         fileio.labeled_graph_from_dict(d)
+
+
+def test_a_covering_of_a_point_lists_each_sheet_once():
+    # with no edges to lift, only the fiber check sees a repeated label
+    point, sheets = graphs.Graph(1, ()), graphs.Graph(2, ())
+    c = graphs.check_covering(graphs.CombinatorialMap(sheets, point, (1, 1), ()), 2)
+    d = fileio.covering_to_dict(c)
+    assert fileio.covering_from_dict(d) == c
+    d["fiber_labels"]["1"] = [1, 1]
+    with pytest.raises(ValueError, match="^fiber labels over vertex 1 are not a labeling"):
+        fileio.covering_from_dict(d)

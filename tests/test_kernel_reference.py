@@ -6,6 +6,10 @@ references below evaluate one word at a time with ``path_value`` /
 ``evaluate_word`` and lift one point at a time through the covering graph,
 so they share no code with the fold.
 
+``Covering._lifts``, the one check of the covering condition, is checked
+against the vertex-star loop that ``check_covering`` ran before it, on
+coverings with one entry perturbed.
+
 Every kernel that reads and writes cochain rows (the 0-cochain action,
 coboundaries, tree normalization, path values, coboundary membership, edge
 norms and distances, the orbit-distance relabeling) is checked against a
@@ -26,7 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from permstab import instances
+from permstab import fileio, instances
 from permstab.cochains import (Cochain0, Cochain1, _injections, _relabeling, act0on1,
                                coboundary0, coboundary_distance, cochain_distance,
                                cochain_norm, cochain_to_covering, covering_to_cochain,
@@ -35,8 +39,8 @@ from permstab.cochains import (Cochain0, Cochain1, _injections, _relabeling, act
 from permstab.complexes import (PolygonalComplex, PolygonClass, Presentation,
                                 polygon_weights, presentation_complex)
 from permstab.graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
-                             origin, spanning_tree, terminus, tree_paths_to_root,
-                             vertex_stars)
+                             check_covering, is_connected, origin, spanning_tree,
+                             terminus, tree_paths_to_root, validate_map, vertex_stars)
 from permstab.perm import (Permutation, all_permutations, compose, evaluate_word,
                            hamming_distance_with_errors)
 from permstab.testers import (_CHUNK, _cocycle_tables, _constraint_guide, _cover_tables,
@@ -221,10 +225,11 @@ def test_cover_tables_match_point_lifts(inst, every_orientation):
 # malformed coverings built in code
 
 
-def _rebuilt(c, edges=None, edge_map=None, fibers=None):
+def _rebuilt(c, edges=None, edge_map=None, fibers=None, vertex_map=None):
     graph = Graph(c.graph.vertex_count, c.graph.edges if edges is None else edges)
     lab = c.labeled.labeling
-    labeling = CombinatorialMap(graph, lab.target, lab.vertex_map,
+    labeling = CombinatorialMap(graph, lab.target,
+                                lab.vertex_map if vertex_map is None else vertex_map,
                                 lab.edge_map if edge_map is None else edge_map)
     return Covering(LabeledGraph(graph, labeling), c.degree,
                     c.fiber_labels if fibers is None else fibers)
@@ -262,6 +267,11 @@ def _malformed():
     yield "a fiber missing", Covering(c.labeled, 2, c.fiber_labels[:2]), x
     # (6, 3) joins the right sheets, but 6 lies over base vertex 3, not 1
     yield "lift leaves its fiber", _first_edge(c, edge=(6, 3)), x
+    # covering vertices 1 and 3 swap base vertices, so the canonical fibers
+    # no longer list what the vertex map puts over base vertices 1 and 2
+    vertex_map = list(c.labeled.labeling.vertex_map)
+    vertex_map[0], vertex_map[2] = vertex_map[2], vertex_map[0]
+    yield "vertex map disagrees with the fibers", _rebuilt(c, vertex_map=tuple(vertex_map)), x
 
 
 @pytest.mark.parametrize("case", list(_malformed()), ids=lambda case: case[0])
@@ -271,6 +281,82 @@ def test_malformed_covering_raises_value_error(case):
                  lambda: run_sampled("cover", (c, x), 10, seed=0)):
         with pytest.raises(ValueError):
             call()
+
+
+def ref_is_covering(f, n):
+    """The vertex-star loop: f is a combinatorial map onto a connected base,
+    bijective on every vertex star, with n covering vertices over each base
+    vertex."""
+    if not validate_map(f).ok or not is_connected(f.target):
+        return False
+    src, tgt = vertex_stars(f.source), vertex_stars(f.target)
+    for y in range(1, f.source.vertex_count + 1):
+        images = [f.map_edge(s) for s in src[y - 1]]
+        if len(set(images)) != len(images) or set(images) != set(tgt[f.map_vertex(y) - 1]):
+            return False
+    return all(f.vertex_map.count(x) == n for x in range(1, f.target.vertex_count + 1))
+
+
+def ref_lift_table(f, fibers):
+    """Per base edge e, the sheet of each lift's terminus sent to the sheet of
+    its origin, read off the stars of a labeling that ``ref_is_covering``
+    accepts."""
+    sheet = {v: i for fib in fibers for i, v in enumerate(fib)}
+    table = [[None] * len(fibers[0]) for _ in f.target.edges]
+    for v, star in enumerate(vertex_stars(f.source), start=1):
+        for s in star:
+            if f.map_edge(s) > 0:
+                table[f.map_edge(s) - 1][sheet[v]] = sheet[origin(f.source, s)]
+    return table
+
+
+@st.composite
+def perturbed_coverings(draw):
+    """The labeling, degree and fiber labels of the covering of a random
+    cochain, with one edge end, edge label, vertex label or fiber label
+    replaced, possibly by itself."""
+    c = cochain_to_covering(draw(cochains()))
+    size, lab = c.graph.vertex_count, c.labeled.labeling
+    m, base_size = len(lab.target.edges), lab.target.vertex_count
+    edges, edge_map, vertex_map = list(c.graph.edges), list(lab.edge_map), list(lab.vertex_map)
+    fibers = [list(fib) for fib in c.fiber_labels]
+    what = draw(st.sampled_from(["edge end", "edge label", "vertex label", "fiber label"]))
+    if what == "edge end":
+        k, j = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, 1))
+        ends = list(edges[k])
+        ends[j] = draw(st.integers(1, size))
+        edges[k] = tuple(ends)
+    elif what == "edge label":
+        edge_map[draw(st.integers(0, len(edge_map) - 1))] = draw(st.integers(-m - 1, m + 1))
+    elif what == "vertex label":
+        vertex_map[draw(st.integers(0, size - 1))] = draw(st.integers(0, base_size + 1))
+    else:
+        draw(st.sampled_from(fibers))[draw(st.integers(0, c.degree - 1))] = \
+            draw(st.integers(0, size + 1))
+    f = CombinatorialMap(Graph(size, tuple(edges)), lab.target, tuple(vertex_map),
+                         tuple(edge_map))
+    return f, c.degree, tuple(map(tuple, fibers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_coverings())
+def test_covering_checks_match_the_star_loop(inst):
+    f, n, fibers = inst
+    ok = ref_is_covering(f, n)
+    # a file also needs its stored fibers to label the fibers of the vertex map
+    stored_ok = ok and all(
+        sorted(fib) == [v for v, y in enumerate(f.vertex_map, start=1) if y == x]
+        for x, fib in enumerate(fibers, start=1))
+    d = fileio.covering_to_dict(Covering(LabeledGraph(f.source, f), n, fibers))
+    for check, accepts in ((lambda: check_covering(f, n), ok),
+                           (lambda: fileio.covering_from_dict(d), stored_ok)):
+        if not accepts:
+            with pytest.raises(ValueError):
+                check()
+            continue
+        c = check()
+        assert "_lifts" in vars(c)
+        assert c._lifts.tolist() == ref_lift_table(f, c.fiber_labels)
 
 
 @settings(max_examples=30)
