@@ -146,6 +146,10 @@ def cmd_defect(args) -> int:
     if args.scope == "local" and given:
         raise ValueError(f"defect local takes no {', '.join(given)}; "
                          "those options are read by defect global")
+    unread = [flag for flag in given if flag in ("--root", "--tree", "--guard-align")]
+    if args.kind == "hom" and unread:
+        raise ValueError(f"defect global --kind hom takes no {', '.join(unread)}; "
+                         "those options are read by the cocycle and cover kinds")
     if args.scope == "global" and args.weights is not None:
         raise ValueError("global defects are unweighted; --weights is for local defects")
     for flag in set(_GLOBAL_ONLY) - set(given):

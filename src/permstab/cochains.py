@@ -23,8 +23,7 @@ import numpy as np
 
 from .complexes import PolygonalComplex, WeightingSystem, uniform_distribution
 from .errors import GuardExceeded
-from .graphs import (Covering, Graph, check_path, origin, tree_paths_to_root,
-                     vertex_stars)
+from .graphs import Covering, Graph, _forest, check_path, terminus, tree_paths_to_root
 from .perm import Permutation, _check_degree, _trusted
 
 
@@ -406,27 +405,17 @@ def is_coboundary(a: Cochain1) -> tuple[bool, Cochain0 | None]:
     """Decide whether a = delta b for some 0-cochain b, returning a witness.
 
     If a solution exists, the witness is the one with b = Id at the smallest
-    vertex of each component: b is propagated outward from that vertex, and
-    consistency is checked on the remaining edges.  Linear time, no search.
+    vertex of each component, propagated along the parent edges of
+    ``graphs._forest``; consistency is checked on the rest, with no search.
     """
     g = skeleton_of(a.space)
     rows, inverse = a.rows, _inverse(a.rows)
-    vals: list[np.ndarray | None] = [None] * g.vertex_count
-    stars = vertex_stars(g)
-    for start in range(1, g.vertex_count + 1):
-        if vals[start - 1] is not None:
-            continue
-        vals[start - 1] = np.arange(a.degree)
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for s in stars[v - 1]:
-                # s points into v; -s leaves v toward w, and delta b(v->w) = b(v)^-1 b(w)
-                w = origin(g, s)
-                if vals[w - 1] is None:
-                    vals[w - 1] = vals[v - 1][(inverse if s > 0 else rows)[abs(s) - 1]]
-                    queue.append(w)
-    beta = Cochain0._of(a.space, a.degree, np.array(vals, dtype=np.intp))
+    vals = np.empty((g.vertex_count, a.degree), dtype=np.intp)
+    for v, s, _ in _forest(g, 1):
+        # s leaves v toward its parent p: a(s) = b(v)^-1 b(p) gives b(v) = b(p) a(-s)
+        vals[v - 1] = vals[terminus(g, s) - 1][(inverse if s > 0 else rows)[abs(s) - 1]] \
+            if s else np.arange(a.degree)
+    beta = Cochain0._of(a.space, a.degree, vals)
     if coboundary0(beta) == a:
         return True, beta
     return False, None

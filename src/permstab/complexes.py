@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import perm
-from .graphs import (Graph, ValidationReport, check_path, is_connected,
-                     is_cyclically_reduced, path_is_closed, spanning_tree,
-                     tree_paths_to_root, validate_graph)
+from .graphs import (Graph, ValidationReport, check_path, is_cyclically_reduced,
+                     path_is_closed, spanning_tree, tree_paths_to_root, validate_graph)
 
 def _signed_key(s: int) -> tuple[int, int]:
     return (abs(s), 1 if s > 0 else 0)
@@ -140,10 +139,9 @@ def fundamental_presentation(x: PolygonalComplex, root: int = 1,
     Generators are the non-tree edges (stored orientation); each polygon class
     contributes one relator: its stored representative with tree edges deleted
     and reversed generators replaced by inverses.  Relators of a presentation
-    complex round-trip verbatim since the tree is empty there.
+    complex round-trip verbatim since the tree is empty there.  A root that is
+    not a vertex, or a tree that does not span the skeleton, raises ValueError.
     """
-    if not is_connected(x.skeleton):
-        raise ValueError("skeleton is disconnected")
     if tree is None:
         tree = spanning_tree(x.skeleton, root)
     else:

@@ -82,24 +82,13 @@ def validate_graph(g: Graph) -> ValidationReport:
 
 
 def components(g: Graph) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    comps = []
-    stars = vertex_stars(g)
-    for start in range(1, g.vertex_count + 1):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for s in stars[v - 1]:
-                w = origin(g, s)
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    """Vertex sets of the components, ordered by their smallest vertex."""
+    if not g.vertex_count:
+        return []
+    comps: dict[int, set[int]] = {}
+    for v, _, r in _forest(g, 1):
+        comps.setdefault(r, set()).add(v)
+    return [frozenset(c) for c in comps.values()]
 
 
 def is_connected(g: Graph) -> bool:
@@ -172,6 +161,10 @@ class CombinatorialMap:
 
 
 def validate_map(f: CombinatorialMap) -> ValidationReport:
+    for g in (f.source, f.target):
+        rep = validate_graph(g)
+        if not rep.ok:
+            return rep
     if len(f.vertex_map) != f.source.vertex_count:
         return ValidationReport(False, "vertex_map length mismatch")
     if len(f.edge_map) != len(f.source.edges):
@@ -350,58 +343,69 @@ def _checked_covering(f: CombinatorialMap, n: int, fibers: tuple | None) -> Cove
 # spanning trees
 
 
+def _forest(g: Graph, root: int, edges: Iterable[int] | None = None) -> list[tuple[int, int, int]]:
+    """The one walk of g, or of its edges with the given ids: (vertex, signed
+    edge from it toward its parent or 0, root of its component) in the order
+    reached.  Components grow from root, then from the smallest vertex not yet
+    reached, in passes that scan the edges by ascending id and attach each edge
+    with one reached end; that scan order fixes every spanning tree.  Raises
+    ValueError unless root is a vertex and every id an edge id of g."""
+    n, ids = g.vertex_count, range(1, len(g.edges) + 1)
+    if not 1 <= root <= n:
+        raise ValueError(f"root {root} not a vertex")
+    edges = ids if edges is None else sorted(edges)
+    bad = [k for k in edges if k not in ids]
+    if bad:
+        raise ValueError(f"edge {bad[0]} not in graph")
+    reached = [False] * (n + 1)
+    walk: list[tuple[int, int, int]] = []
+    for start in itertools.chain((root,), range(1, n + 1)):
+        if reached[start]:
+            continue
+        reached[start] = True
+        walk.append((start, 0, start))
+        grew = True
+        while grew and len(walk) < n:
+            grew = False
+            for k in edges:
+                u, v = g.edges[k - 1]
+                if reached[u] != reached[v]:
+                    new, toward = (v, -k) if reached[u] else (u, k)
+                    reached[new] = True
+                    walk.append((new, toward, start))
+                    grew = True
+    return walk
+
+
 def spanning_tree(g: Graph, root: int) -> frozenset[int]:
-    """Deterministic spanning tree: scan edges in ascending id, repeatedly
-    attaching any edge with exactly one endpoint in the grown component.
+    """Deterministic spanning tree: the edges of ``_forest`` grown from root.
 
     On the 3-cycle rooted at 1 this accepts edges {1, 2}: edge 2 attaches
     vertex 3 through vertex 2 before the scan ever returns to edge 3.
     """
-    if not 1 <= root <= g.vertex_count:
-        raise ValueError(f"root {root} not a vertex")
-    reached = {root}
-    tree: list[int] = []
-    grew = True
-    while grew and len(reached) < g.vertex_count:
-        grew = False
-        for k, (u, v) in enumerate(g.edges, start=1):
-            if (u in reached) != (v in reached):
-                reached.add(u)
-                reached.add(v)
-                tree.append(k)
-                grew = True
-    if len(reached) < g.vertex_count:
+    walk = _forest(g, root)
+    if walk[-1][2] != root:
         raise ValueError("graph is disconnected")
-    return frozenset(tree)
+    return frozenset(abs(s) for _, s, _ in walk if s)
 
 
 def tree_paths_to_root(g: Graph, tree: Iterable[int], root: int) -> tuple[tuple[int, ...], ...]:
     """For each vertex, the signed edge path inside the tree from it to the root.
 
-    Raises if the edge set is not a spanning tree of g.
+    Raises ValueError unless root is a vertex and the edge set is a spanning
+    tree of g.
     """
     tree_set = set(tree)
     if len(tree_set) != g.vertex_count - 1:
         raise ValueError("edge set has wrong size for a spanning tree")
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for k in sorted(tree_set):
-        u, v = g.edges[k - 1]
-        adj[u - 1].append(k)    # +k leaves u toward v
-        adj[v - 1].append(-k)   # -k leaves v toward u
-    paths: list[tuple[int, ...] | None] = [None] * g.vertex_count
-    paths[root - 1] = ()
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for s in adj[v - 1]:
-            w = terminus(g, s)
-            if paths[w - 1] is None:
-                # leaving w along -s reaches v, then continue along v's path
-                paths[w - 1] = (-s,) + paths[v - 1]
-                queue.append(w)
-    if any(p is None for p in paths):
+    walk = _forest(g, root, tree_set)
+    if walk[-1][2] != root:
         raise ValueError("edge set does not span the graph")
-    return tuple(paths)  # type: ignore[arg-type]
+    paths: list[tuple[int, ...]] = [()] * g.vertex_count
+    for v, s, _ in walk:
+        if s:   # leave v along s to its parent, then follow the parent's path
+            paths[v - 1] = (s,) + paths[terminus(g, s) - 1]
+    return tuple(paths)
 
 
 # ---------------------------------------------------------------------------

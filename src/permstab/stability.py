@@ -660,8 +660,6 @@ def h1_vanishing_check(x: PolygonalComplex, n_cap: int, *, root: int = 1,
     """
     if n_cap < 2:
         raise ValueError(f"n_cap {n_cap} is below 2, so no degree can be checked")
-    if not is_connected(x.skeleton):
-        raise ValueError("complex is disconnected")
     fp = fundamental_presentation(x, root, tree)
     reports = []
     for degree in range(2, n_cap + 1):

@@ -335,8 +335,8 @@ def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
     chunk reads one ``random((2, size, k))`` block for k constraints
     (orientations, then points).  ``exact_rate`` is the exact rejection
     probability read from the same tables the trials sample, 1 - prod(1 -
-    p_c) with ``linf``.  ``trials`` and ``seed`` must be integers (not
-    bools), at least 1 and 0.
+    p_c) with ``linf``, which never reads weights and so refuses them.
+    ``trials`` and ``seed`` must be integers (not bools), at least 1 and 0.
     """
     trials = _integer(trials, "trials")
     seed = _integer(seed, "seed")
@@ -346,6 +346,8 @@ def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
         raise ValueError("seed must be non-negative")
     if linf and kind in ("matrix", "cover_dm"):
         raise ValueError(f"no L-infinity variant for kind {kind!r}")
+    if linf and weights is not None:
+        raise ValueError("the L-infinity tester checks every constraint, so it takes no weights")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mu, tables = _reject_tables(kind, obj, weights, every_orientation=True)

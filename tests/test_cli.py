@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from permstab import fileio, instances, stability
 from permstab.cli import build_parser, main
 from permstab.cochains import (Cochain0, Cochain1, cochain_to_covering,
-                               identity_cochain1, images_to_cochain)
+                               identity_cochain1, images_to_cochain, path_value)
 from permstab.perm import Permutation
 
 
@@ -857,6 +857,59 @@ def test_cover_dm_refuses_weights(tmp_path, capsys):
                            str(tmp_path / "c.json"), "--complex", str(tmp_path / "x.json"),
                            "--weights", str(tmp_path / "w.json"))
         assert (code, err) == (1, "error: the discrete-metric cover tester takes no weights\n")
+
+
+def test_test_linf_refuses_weights(tmp_path, capsys):
+    # the L-infinity tester checks every constraint once, so weights putting
+    # all mass on one passing polygon move the plain rate and not its own
+    path = str(write_cut_bundle(tmp_path))
+    capsys.readouterr()
+    a = fileio.load_object(path)[1]
+    passing = next(i for i, pc in enumerate(a.space.polygons)
+                   if path_value(a, pc.rep).is_identity())
+    mu2 = ["0/1"] * len(a.space.polygons)
+    mu2[passing] = "1/1"
+    fileio.save_json({"mu2": mu2}, tmp_path / "w.json")
+    argv = ("test", "--kind", "cocycle", "--input", path, "--trials", "100", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--weights", str(tmp_path / "w.json"))
+    assert code == 0 and json.loads(out)["exact_rate"] == "0/1"
+    code, out, err = run(capsys, *argv, "--linf", "--weights", str(tmp_path / "w.json"))
+    assert (code, out) == (1, "")
+    assert err == ("error: the L-infinity tester checks every constraint, "
+                   "so it takes no weights\n")
+
+
+@pytest.mark.parametrize("flag", (("--root", "1"), ("--tree", "1,2,3,4,5"),
+                                  ("--guard-align", "1")), ids=lambda flag: flag[0])
+def test_defect_global_hom_refuses_each_spanning_tree_flag(tmp_path, capsys, flag):
+    # the hom kind builds no spanning tree and aligns nothing, so it names
+    # the flag instead of printing the same answer with any setting of it
+    write_cut_bundle(tmp_path)
+    capsys.readouterr()
+    argv = ("defect", "global", "--kind", "hom", "--input", str(tmp_path / "cut-6-hom.json"))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "upper_bound = 4/5" in out
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, out) == (1, "")
+    assert err == (f"error: defect global --kind hom takes no {flag[0]}; "
+                   "those options are read by the cocycle and cover kinds\n")
+
+
+@pytest.mark.parametrize("tree, root, message", [
+    ("-5,1,2", "1", "edge -5 not in graph"), ("7,1,2", "1", "edge 7 not in graph"),
+    ("1,2,3", "0", "root 0 not a vertex"), ("1,2,3", "9", "root 9 not a vertex")])
+def test_a_tree_or_root_outside_the_complex_exits_1(tmp_path, capsys, tree, root, message):
+    # these used to write a presentation with the wrong generators (-5 read
+    # edge 1), a root of 0, or end in an IndexError traceback
+    x = instances.complete_complex(4)
+    fileio.save_json(fileio.complex_to_dict(x), tmp_path / "k4.json")
+    fileio.save_json(fileio.cochain1_to_dict(identity_cochain1(x, 2)), tmp_path / "a.json")
+    given = (f"--tree={tree}", "--root", root)
+    for argv in (("convert", "--to", "presentation", "--input", str(tmp_path / "k4.json"),
+                  "--output", str(tmp_path / "p.json")),
+                 ("defect", "global", "--kind", "cocycle", "--input", str(tmp_path / "a.json"))):
+        assert run(capsys, *argv, *given) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_cheeger_classical_has_no_dimension_1(tmp_path, capsys):

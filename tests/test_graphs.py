@@ -8,7 +8,8 @@ import pytest
 from permstab import instances
 from permstab.cochains import cochain_to_covering, identity_cochain1, images_to_cochain
 from permstab.errors import GuardExceeded
-from permstab.graphs import (CombinatorialMap, Graph, check_covering,
+from permstab.complexes import fundamental_presentation
+from permstab.graphs import (CombinatorialMap, Graph, check_covering, components,
                              edit_distance, is_connected, origin, reduce_path,
                              spanning_tree, terminus, tree_paths_to_root,
                              validate_graph, validate_map, vertex_stars)
@@ -114,6 +115,22 @@ def test_tree_paths_to_root():
         tree_paths_to_root(g, {1, 2, 3}, 1)
 
 
+def test_a_given_tree_and_root_are_checked_against_the_graph():
+    # a tree id outside 1..m used to read another edge (-1 reads the last
+    # one) or raise IndexError, and a root outside 1..V was not checked
+    for tree, root, message in (({-1, 1}, 1, "edge -1 not in graph"),
+                                ({1, 4}, 1, "edge 4 not in graph"),
+                                ({1, 2}, 0, "root 0 not a vertex"),
+                                ({1, 2}, 4, "root 4 not a vertex")):
+        with pytest.raises(ValueError, match=message):
+            tree_paths_to_root(triangle(), tree, root)
+    x = instances.complete_complex(4)
+    for tree, root in (({-5, 1, 2}, 1), ({7, 1, 2}, 1), ({1, 2, 3}, 0), ({1, 2, 3}, 9)):
+        with pytest.raises(ValueError, match="not in graph|not a vertex"):
+            fundamental_presentation(x, root, frozenset(tree))
+    assert components(Graph(0, ())) == []
+
+
 def double_cover_map():
     # the 2-cycle double-covering the one-loop bouquet
     bouquet = Graph(1, ((1, 1),))
@@ -172,6 +189,20 @@ def test_validate_map_catches_endpoint_violations():
     assert validate_map(ok).ok
     bad = CombinatorialMap(g, g, (1, 2, 3), (2, 2, 3))
     assert not validate_map(bad).ok
+
+
+def test_validate_map_checks_both_graphs_first():
+    # edge ends outside the source used to read vertex_map[-1] (edge end 0,
+    # reported ok) or raise IndexError (edge end 3)
+    bouquet = Graph(1, ((1, 1),))
+    for edges in (((0, 2), (1, 3)), ((0, 2), (2, 1))):
+        f = CombinatorialMap(Graph(2, edges), bouquet, (1, 1), (1, 1))
+        rep = validate_map(f)
+        assert not rep.ok and rep.message == "dangling endpoint on edge 1: (0,2)"
+        with pytest.raises(ValueError, match="not a combinatorial map: dangling"):
+            check_covering(f, 2)
+    f = CombinatorialMap(bouquet, Graph(1, ((1, 2),)), (1,), (1,))
+    assert validate_map(f).message == "dangling endpoint on edge 1: (1,2)"
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ norms and distances, the orbit-distance relabeling) is checked against a
 small reference built from ``compose`` and ``Permutation.inverse`` loops on
 ``values``, the form cochains held before they held rows.
 
+``graphs._forest``, the one walk behind components, spanning trees, tree
+paths and the coboundary test, is checked through those four against the
+depth-first, edge-scan and breadth-first searches they ran before, on random
+multigraphs with loops, parallel edges and several components.
+
 The Monte Carlo kernel of ``run_sampled`` (one uniform block per chunk and a
 guide-table constraint draw) is checked against the per-chunk loop with
 ``Generator.choice`` that it replaced: the outcomes must be equal, not just
@@ -39,8 +44,9 @@ from permstab.cochains import (Cochain0, Cochain1, _injections, _relabeling, act
 from permstab.complexes import (PolygonalComplex, PolygonClass, Presentation,
                                 polygon_weights, presentation_complex)
 from permstab.graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
-                             check_covering, is_connected, origin, spanning_tree,
-                             terminus, tree_paths_to_root, validate_map, vertex_stars)
+                             check_covering, components, is_connected, origin,
+                             spanning_tree, terminus, tree_paths_to_root, validate_map,
+                             vertex_stars)
 from permstab.perm import (Permutation, all_permutations, compose, evaluate_word,
                            hamming_distance_with_errors)
 from permstab.testers import (_CHUNK, _cocycle_tables, _constraint_guide, _cover_tables,
@@ -118,7 +124,7 @@ def perms(n):
 def cochains(draw, x=None, n=None):
     x = draw(st.sampled_from(SPACES)) if x is None else x
     n = draw(st.integers(1, 6)) if n is None else n
-    return Cochain1(x, n, tuple(draw(perms(n)) for _ in x.skeleton.edges))
+    return Cochain1(x, n, tuple(draw(perms(n)) for _ in skeleton_of(x).edges))
 
 
 @st.composite
@@ -404,7 +410,7 @@ def ref_tree_normalize(alpha, tree, root):
 
 def ref_is_coboundary(a):
     """The breadth-first propagation from the smallest vertex of each component."""
-    g = a.space.skeleton
+    g = skeleton_of(a.space)
     vals = [None] * g.vertex_count
     stars = vertex_stars(g)
     for start in range(1, g.vertex_count + 1):
@@ -431,7 +437,7 @@ def ref_cochain_distance(a, b, mu1):
 
 @st.composite
 def cochain0s(draw, x, n):
-    return Cochain0(x, n, tuple(draw(perms(n)) for _ in range(x.skeleton.vertex_count)))
+    return Cochain0(x, n, tuple(draw(perms(n)) for _ in range(skeleton_of(x).vertex_count)))
 
 
 @given(st.data())
@@ -462,7 +468,7 @@ def test_path_value_matches_compose_loop(data):
 
 @given(st.data())
 def test_is_coboundary_matches_propagation(data):
-    x = data.draw(st.sampled_from(SPACES))
+    x = data.draw(st.sampled_from(SPACES) | multigraphs())
     n = data.draw(st.integers(1, 5))
     # half the draws are coboundaries, which random cochains almost never are
     a = coboundary0(data.draw(cochain0s(x, n))) if data.draw(st.booleans()) \
@@ -540,6 +546,105 @@ def test_covering_round_trip_on_relabeled_fibers(data):
     relabeled = covering_to_cochain(Covering(c.labeled, n, fibers), x)
     assert relabeled == act0on1(beta, a)
     assert covering_to_cochain(cochain_to_covering(relabeled), x) == relabeled
+
+
+# ---------------------------------------------------------------------------
+# the one spanning-forest walk against the searches it replaced
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 7 vertices and 10 edges at random: loops, parallel edges and
+    several components are all common."""
+    v = draw(st.integers(1, 7))
+    ends = st.tuples(st.integers(1, v), st.integers(1, v))
+    return Graph(v, tuple(draw(st.lists(ends, max_size=10))))
+
+
+def ref_components(g):
+    """The depth-first search over vertex stars."""
+    seen, comps, stars = set(), [], vertex_stars(g)
+    for start in range(1, g.vertex_count + 1):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for s in stars[v - 1]:
+                w = origin(g, s)
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def ref_spanning_tree(g, root):
+    """The repeated ascending edge scan from the root alone."""
+    if not 1 <= root <= g.vertex_count:
+        raise ValueError(f"root {root} not a vertex")
+    reached, tree, grew = {root}, [], True
+    while grew and len(reached) < g.vertex_count:
+        grew = False
+        for k, (u, v) in enumerate(g.edges, start=1):
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                tree.append(k)
+                grew = True
+    if len(reached) < g.vertex_count:
+        raise ValueError("graph is disconnected")
+    return frozenset(tree)
+
+
+def ref_tree_paths(g, tree, root):
+    """The breadth-first search over the tree's edges."""
+    if len(set(tree)) != g.vertex_count - 1:
+        raise ValueError("edge set has wrong size for a spanning tree")
+    adj = [[] for _ in range(g.vertex_count)]
+    for k in sorted(set(tree)):
+        u, v = g.edges[k - 1]
+        adj[u - 1].append(k)
+        adj[v - 1].append(-k)
+    paths = [None] * g.vertex_count
+    paths[root - 1] = ()
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for s in adj[v - 1]:
+            w = terminus(g, s)
+            if paths[w - 1] is None:
+                paths[w - 1] = (-s,) + paths[v - 1]
+                queue.append(w)
+    if any(p is None for p in paths):
+        raise ValueError("edge set does not span the graph")
+    return tuple(paths)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(multigraphs(), st.data())
+def test_forest_walk_matches_the_searches(g, data):
+    assert components(g) == ref_components(g)
+    assert is_connected(g) == (len(ref_components(g)) == 1)
+    for root in range(1, g.vertex_count + 1):
+        tree = _outcome(ref_spanning_tree, g, root)
+        assert _outcome(spanning_tree, g, root) == tree
+        if isinstance(tree, frozenset):
+            assert tree_paths_to_root(g, tree, root) == ref_tree_paths(g, tree, root)
+    # an edge set of the right size that need not span
+    ids = range(1, len(g.edges) + 1)
+    if len(ids) >= g.vertex_count - 1:
+        some = data.draw(st.sets(st.sampled_from(ids), min_size=g.vertex_count - 1,
+                                 max_size=g.vertex_count - 1)) if ids else set()
+        root = data.draw(st.integers(1, g.vertex_count))
+        assert _outcome(tree_paths_to_root, g, some, root) == \
+            _outcome(ref_tree_paths, g, some, root)
 
 
 # ---------------------------------------------------------------------------
