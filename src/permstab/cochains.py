@@ -16,14 +16,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .complexes import PolygonalComplex, WeightingSystem, uniform_distribution
 from .errors import GuardExceeded
-from .graphs import Covering, Graph, _forest, check_path, terminus, tree_paths_to_root
+from .graphs import (Covering, Graph, _best_alignment, _forest, _injections, check_path,
+                     terminus, tree_paths_to_root)
 from .perm import Permutation, _check_degree, _trusted
 
 
@@ -434,36 +435,19 @@ def alignment_guard_refuses(vertex_count: int, n: int, big: int, guard: int) -> 
     return math.perm(big, n) ** vertex_count > guard
 
 
-@lru_cache(maxsize=32)
-def _injections(n: int, big: int) -> np.ndarray:
-    """Injections of 0..n-1 into 0..big-1 in itertools order, one per row (read-only)."""
-    inj = np.array(list(itertools.permutations(range(big), n)), dtype=np.intp)
-    inj.flags.writeable = False
-    return inj
-
-
 def _orbit_agreements(g: Graph, a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
     """The agreement kernel of orbit_distance on 0-based (edges, n) images a
     and (edges, big) images b: relabeling b by one injection m_v per vertex,
-    edge x -> y agrees where m_x(a(i)) = b(m_y(i)).  The counts fill a dense
-    tensor over the P(big, n)^V injection tuples; a loop adds its diagonal
-    only.  Returns the best total and the first flat index attaining it."""
+    edge x -> y agrees where m_x(a(i)) = b(m_y(i)).  Each edge's table of
+    counts feeds ``graphs._best_alignment`` over the P(big, n)^V injection
+    tuples; a loop adds its diagonal only.  Returns the best total and the
+    first flat index attaining it."""
     inj = _injections(a.shape[1], b.shape[1])
-    p_count, v = len(inj), g.vertex_count
     lhs, rhs = inj[:, a].swapaxes(0, 1), b[:, inj]   # m_x(a(i)), b(m_y(i)) per edge
-    total = np.zeros((p_count,) * v, dtype=np.intp)
-    for e, (x, y) in enumerate(g.edges):
-        shape = [1] * v
-        shape[x - 1] = shape[y - 1] = p_count
-        if x == y:
-            term = (lhs[e] == rhs[e]).sum(axis=1)
-        else:
-            term = (lhs[e][:, None, :] == rhs[e][None, :, :]).sum(axis=2)
-            term = term if x < y else term.T
-        total += term.reshape(shape)
-    flat = int(np.argmax(total))
-    return int(total.flat[flat]), flat
-
+    return _best_alignment((len(inj),) * g.vertex_count, (
+        (x - 1, y - 1, (lhs[e] == rhs[e]).sum(axis=1) if x == y
+         else (lhs[e][:, None, :] == rhs[e][None, :, :]).sum(axis=2))
+        for e, (x, y) in enumerate(g.edges)))
 
 
 def _relabeling(space: PolygonalComplex | Graph, candidate: np.ndarray, n: int,

@@ -9,12 +9,13 @@ contributes both orientations to its vertex star.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -348,8 +349,10 @@ def _forest(g: Graph, root: int, edges: Iterable[int] | None = None) -> list[tup
     edge from it toward its parent or 0, root of its component) in the order
     reached.  Components grow from root, then from the smallest vertex not yet
     reached, in passes that scan the edges by ascending id and attach each edge
-    with one reached end; that scan order fixes every spanning tree.  Raises
-    ValueError unless root is a vertex and every id an edge id of g."""
+    with one reached end; that scan order fixes every spanning tree.  Two heaps
+    replay the scan: a newly reached vertex queues its edges for the rest of
+    this pass (ids above the current one) or for the next.  Raises ValueError
+    unless root is a vertex and every id an edge id of g."""
     n, ids = g.vertex_count, range(1, len(g.edges) + 1)
     if not 1 <= root <= n:
         raise ValueError(f"root {root} not a vertex")
@@ -357,6 +360,11 @@ def _forest(g: Graph, root: int, edges: Iterable[int] | None = None) -> list[tup
     bad = [k for k in edges if k not in ids]
     if bad:
         raise ValueError(f"edge {bad[0]} not in graph")
+    star: list[list[int]] = [[] for _ in range(n + 1)]
+    for k in edges:
+        u, v = g.edges[k - 1]
+        star[u].append(k)
+        star[v].append(k)
     reached = [False] * (n + 1)
     walk: list[tuple[int, int, int]] = []
     for start in itertools.chain((root,), range(1, n + 1)):
@@ -364,16 +372,18 @@ def _forest(g: Graph, root: int, edges: Iterable[int] | None = None) -> list[tup
             continue
         reached[start] = True
         walk.append((start, 0, start))
-        grew = True
-        while grew and len(walk) < n:
-            grew = False
-            for k in edges:
-                u, v = g.edges[k - 1]
-                if reached[u] != reached[v]:
-                    new, toward = (v, -k) if reached[u] else (u, k)
-                    reached[new] = True
-                    walk.append((new, toward, start))
-                    grew = True
+        now, later = sorted(star[start]), []
+        while now and len(walk) < n:
+            k = heapq.heappop(now)
+            u, v = g.edges[k - 1]
+            if reached[u] != reached[v]:
+                new, toward = (v, -k) if reached[u] else (u, k)
+                reached[new] = True
+                walk.append((new, toward, start))
+                for j in star[new]:
+                    heapq.heappush(now if j > k else later, j)
+            if not now:
+                now, later = later, []
     return walk
 
 
@@ -420,27 +430,46 @@ class EditDistanceResult:
     value: Fraction
 
 
-def _edge_groups(lg: LabeledGraph) -> dict[int, list[tuple[int, int]]]:
-    """Stored edges grouped by base edge id, each re-oriented along +e."""
-    groups: dict[int, list[tuple[int, int]]] = {}
-    g = lg.graph
-    for k in range(1, len(g.edges) + 1):
-        lbl = lg.labeling.map_edge(k)
-        if lbl > 0:
-            ends = (origin(g, k), terminus(g, k))
-        else:
-            ends = (terminus(g, k), origin(g, k))
-        groups.setdefault(abs(lbl), []).append(ends)
-    return groups
-
-
 def _fibers(lg: LabeledGraph) -> list[list[int]]:
+    """The vertices over each base vertex, ascending."""
     fibs: list[list[int]] = [[] for _ in range(lg.base.vertex_count)]
     for v in range(1, lg.graph.vertex_count + 1):
         fibs[lg.labeling.map_vertex(v) - 1].append(v)
-    for fib in fibs:
-        fib.sort()
     return fibs
+
+
+def _edge_groups(lg: LabeledGraph, fibers: list[list[int]]) -> Counter:
+    """Edges counted by (base edge id, fiber position of the origin, of the
+    terminus), each re-oriented along +e."""
+    pos = {v: i for fib in fibers for i, v in enumerate(fib)}
+    keys: Counter = Counter()
+    for k, (u, v) in enumerate(lg.graph.edges, start=1):
+        e = lg.labeling.map_edge(k)
+        keys[(abs(e), pos[u], pos[v]) if e > 0 else (abs(e), pos[v], pos[u])] += 1
+    return keys
+
+
+@lru_cache(maxsize=32)
+def _injections(n: int, big: int) -> np.ndarray:
+    """Injections of 0..n-1 into 0..big-1 in itertools order, one per row (read-only)."""
+    inj = np.array(list(itertools.permutations(range(big), n)), dtype=np.intp)
+    inj.flags.writeable = False
+    return inj
+
+
+def _best_alignment(sizes: Sequence[int],
+                    terms: Iterable[tuple[int, int, np.ndarray]]) -> tuple[int, int]:
+    """The one fiber-alignment kernel: a dense tensor of shape ``sizes``, one
+    axis of injections per base vertex, to which each term (x, y, table) adds
+    table[i, j] at index i on axis x and j on axis y, or table[i] on a loop
+    x == y.  Returns the best total and the first flat index attaining it."""
+    total = np.zeros(tuple(sizes), dtype=np.intp)
+    for x, y, table in terms:
+        shape = [1] * len(sizes)
+        shape[x], shape[y] = sizes[x], sizes[y]
+        total += (table.T if x > y else table).reshape(shape)
+    flat = int(np.argmax(total))
+    return int(total.flat[flat]), flat
 
 
 def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
@@ -453,9 +482,9 @@ def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
     injection per vertex is enough: edges are what the distance counts, and
     extending a partial vertex matching never loses a matched edge.
 
-    The search is a branch-and-bound over per-vertex injections; it refuses
-    inputs whose alignment search space exceeds ``leaf_guard`` leaves.  The
-    only ``mode`` is ``"exact"``.
+    Every tuple of per-vertex injections is scored at once by
+    ``_best_alignment``; inputs with more than ``leaf_guard`` tuples are
+    refused before any table is built.  The only ``mode`` is ``"exact"``.
     """
     if a.base != b.base:
         raise ValueError("labeled graphs live over different base graphs")
@@ -467,28 +496,6 @@ def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
 
     base = a.base
     fib_a, fib_b = _fibers(a), _fibers(b)
-    grp_a, grp_b = _edge_groups(a), _edge_groups(b)
-    caps = {e: min(len(grp_a.get(e, ())), len(grp_b.get(e, ())))
-            for e in range(1, len(base.edges) + 1)}
-
-    # base edges become countable once both endpoints are aligned
-    decide_at: list[list[int]] = [[] for _ in range(base.vertex_count)]
-    for e, (u, v) in enumerate(base.edges, start=1):
-        decide_at[max(u, v) - 1].append(e)
-
-    def injections(x: int) -> list[dict[int, int]]:
-        fa, fb = fib_a[x - 1], fib_b[x - 1]
-        if len(fa) <= len(fb):
-            return [dict(zip(fa, pick)) for pick in itertools.permutations(fb, len(fa))]
-        return [dict(zip(pick, fb)) for pick in itertools.permutations(fa, len(fb))]
-
-    def count_matches(e: int, pairing: dict[int, int]) -> int:
-        keys_a = Counter((pairing.get(u), pairing.get(v)) for u, v in grp_a.get(e, ()))
-        keys_a.pop((None, None), None)
-        keys_b = Counter(grp_b.get(e, ()))
-        return sum(min(c, keys_b[key]) for key, c in keys_a.items()
-                   if None not in key and key in keys_b)
-
     leaves = 1
     for fa, fb in zip(fib_a, fib_b):
         leaves *= math.perm(max(len(fa), len(fb)), min(len(fa), len(fb)))
@@ -496,25 +503,27 @@ def edit_distance(a: LabeledGraph, b: LabeledGraph, mode: str = "exact",
             raise GuardExceeded(
                 f"edit distance alignment space exceeds {leaf_guard} leaves; raise the guard")
 
-    remaining_caps = [0] * (base.vertex_count + 1)
-    for x in range(base.vertex_count - 1, -1, -1):
-        remaining_caps[x] = remaining_caps[x + 1] + sum(caps[e] for e in decide_at[x])
-
-    best = -1
-
-    def search(idx: int, pairing: dict[int, int], matched: int) -> None:
-        nonlocal best
-        if idx == base.vertex_count:
-            best = max(best, matched)
-            return
-        x = idx + 1
-        for inj in injections(x):
-            trial = {**pairing, **inj}
-            gained = sum(count_matches(e, trial) for e in decide_at[x - 1])
-            total = matched + gained
-            if total + remaining_caps[idx + 1] <= best:
-                continue
-            search(idx + 1, trial, total)
-
-    search(0, {}, 0)
+    # where[x-1][p, i]: the B-position of A-position i over x under injection p, or -1
+    where = []
+    for fa, fb in zip(fib_a, fib_b):
+        inj = _injections(min(len(fa), len(fb)), max(len(fa), len(fb)))
+        if len(fa) > len(fb):   # inj picks the A-position of each B-position
+            back = np.full((len(inj), len(fa)), -1, dtype=np.intp)
+            back[np.arange(len(inj))[:, None], inj] = np.arange(len(fb))
+            inj = back
+        where.append(inj)
+    # count[e-1][j, l]: B-edges over e from B-position j to l; -1 reads the zero padding
+    count = [np.zeros((len(fib_b[x - 1]) + 1, len(fib_b[y - 1]) + 1), dtype=np.intp)
+             for x, y in base.edges]
+    for (e, j, l), c in _edge_groups(b, fib_b).items():
+        count[e - 1][j, l] = c
+    # per base edge, the A-edges matched under each injection pair: over each
+    # distinct oriented position pair, the lesser of its two multiplicities
+    tables: dict[int, np.ndarray] = {}
+    for (e, i, j), c in _edge_groups(a, fib_a).items():
+        x, y = base.edges[e - 1]
+        rows = where[x - 1][:, i] if x == y else where[x - 1][:, i, None]
+        tables[e] = tables.get(e, 0) + np.minimum(count[e - 1][rows, where[y - 1][:, j]], c)
+    best, _ = _best_alignment([len(w) for w in where], (
+        (x - 1, y - 1, tables[e]) for e, (x, y) in enumerate(base.edges, start=1) if e in tables))
     return EditDistanceResult(Fraction(denom - best, denom))

@@ -723,6 +723,9 @@ def stability_profile(obj: PolygonalComplex | Presentation, degree_n: int,
     the grid probability, a level in [0, 1], and both defects of the result
     are recorded.  Fully deterministic given the seed.
     """
+    if samples < 1 or len(corruption_grid) == 0:
+        raise ValueError(f"a profile needs at least one sample and one corruption level, "
+                         f"got samples {samples} and {len(corruption_grid)} levels")
     for level in corruption_grid:
         if not 0 <= level <= 1:
             raise ValueError(f"corruption level {level} is outside [0, 1]")

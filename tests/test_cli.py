@@ -462,6 +462,16 @@ def test_profile_levels_outside_the_unit_interval_exit_1(tmp_path, capsys):
         assert code == 1 and "outside [0, 1]" in err and out == "", grid
 
 
+def test_profile_with_no_rows_exits_1(tmp_path, capsys):
+    fileio.save_json(fileio.complex_to_dict(instances.triangle_complex()), tmp_path / "x.json")
+    for extra in (("--samples", "0"), ("--samples", "-1"), ("--grid", ",")):
+        code, out, err = run(capsys, "profile", "--input", str(tmp_path / "x.json"),
+                             "--n", "2", *extra)
+        assert code == 1 and out == "", extra
+        assert err.startswith("error: a profile needs at least one sample") and \
+            err.count("\n") == 1, extra
+
+
 @pytest.mark.parametrize("family, params, message", [
     ("complete-complex", '{"d": 4.7}', "parameter d must be an integer, got 4.7"),
     ("complete-complex", '{"d": "5"}', "parameter d must be an integer, got '5'"),

@@ -1,7 +1,6 @@
 import itertools
 import pickle
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,7 +265,7 @@ def test_orbit_distance_guard_trips_before_building_injections(monkeypatch):
     def no_listing(*args):
         raise AssertionError("injections listed before the guard check")
 
-    monkeypatch.setattr(cochains, "itertools", SimpleNamespace(permutations=no_listing))
+    monkeypatch.setattr(cochains, "_injections", no_listing)
     with pytest.raises(GuardExceeded):
         orbit_distance(a, identity_cochain1(x, 2000))
 

@@ -1,16 +1,18 @@
 import gc
 import itertools
+import math
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from permstab import instances
+from permstab import graphs, instances
 from permstab.cochains import cochain_to_covering, identity_cochain1, images_to_cochain
 from permstab.errors import GuardExceeded
 from permstab.complexes import fundamental_presentation
-from permstab.graphs import (CombinatorialMap, Graph, check_covering, components,
-                             edit_distance, is_connected, origin, reduce_path,
+from permstab.graphs import (CombinatorialMap, Graph, LabeledGraph, check_covering,
+                             components, edit_distance, is_connected, origin, reduce_path,
                              spanning_tree, terminus, tree_paths_to_root,
                              validate_graph, validate_map, vertex_stars)
 from permstab.perm import Permutation
@@ -286,6 +288,66 @@ def test_edit_distance_random_cover_pairs_match_oracle():
             random_permutation(big, rng) for _ in range(3))))
         res = edit_distance(ca.labeled, cb.labeled)
         assert res.value == _brute_force_edit(ca.labeled, cb.labeled)
+
+
+SMALL_BASES = [
+    Graph(1, ((1, 1),)),                     # one-loop bouquet
+    Graph(1, ((1, 1), (1, 1))),              # two loops
+    Graph(2, ((1, 2), (2, 1), (2, 2))),      # parallel edges and a loop
+    Graph(3, ((1, 2), (2, 3), (3, 1))),      # triangle
+    Graph(3, ((1, 2), (2, 3))),              # path
+]
+
+
+@st.composite
+def labeled_graphs(draw, base):
+    """Any labeled graph over base: fibers of 0-3 vertices with shuffled ids,
+    and edges over random base edges of either sign, joining random vertices
+    of the fibers over their ends.  Coverings are rare among these."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=base.vertex_count,
+                          max_size=base.vertex_count))
+    owners = draw(st.permutations([x for x, k in enumerate(sizes, start=1) for _ in range(k)]))
+    fibers = {x: [v for v, o in enumerate(owners, start=1) if o == x]
+              for x in range(1, base.vertex_count + 1)}
+    edges, labels = [], []
+    for e, sign in draw(st.lists(st.tuples(st.integers(1, len(base.edges)),
+                                           st.sampled_from((1, -1))), max_size=8)):
+        x, y = base.edges[e - 1][::sign]
+        if fibers[x] and fibers[y]:
+            edges.append((draw(st.sampled_from(fibers[x])), draw(st.sampled_from(fibers[y]))))
+            labels.append(sign * e)
+    g = Graph(len(owners), tuple(edges))
+    return LabeledGraph(g, CombinatorialMap(g, base, tuple(owners), tuple(labels)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMALL_BASES).flatmap(
+    lambda base: st.tuples(labeled_graphs(base), labeled_graphs(base))))
+def test_edit_distance_on_general_labeled_graphs_matches_oracle(pair):
+    a, b = pair
+    assume(a.graph.edges or b.graph.edges)
+    # the guard counts P(max, min) injections per fiber pair, and trips just below
+    leaves = 1
+    for x in range(1, a.base.vertex_count + 1):
+        sizes = sorted((list(a.labeling.vertex_map).count(x),
+                        list(b.labeling.vertex_map).count(x)))
+        leaves *= math.perm(sizes[1], sizes[0])
+    assert edit_distance(a, b, leaf_guard=leaves).value == _brute_force_edit(a, b)
+    with pytest.raises(GuardExceeded):
+        edit_distance(a, b, leaf_guard=leaves - 1)
+
+
+def test_edit_distance_guard_trips_before_any_table(monkeypatch):
+    # fibers of 20 against 10 give P(20, 10) ~ 6.7e11 alignments
+    a, b = bouquet_cover(Permutation.identity(20)), bouquet_cover(Permutation.identity(10))
+
+    def no_table(*args):
+        raise AssertionError("alignment tables built before the guard check")
+
+    monkeypatch.setattr(graphs, "_injections", no_table)
+    monkeypatch.setattr(graphs, "_best_alignment", no_table)
+    with pytest.raises(GuardExceeded):
+        edit_distance(a.labeled, b.labeled)
 
 
 def test_edit_distance_symmetry_and_iso_detection():

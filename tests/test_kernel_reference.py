@@ -19,7 +19,8 @@ small reference built from ``compose`` and ``Permutation.inverse`` loops on
 ``graphs._forest``, the one walk behind components, spanning trees, tree
 paths and the coboundary test, is checked through those four against the
 depth-first, edge-scan and breadth-first searches they ran before, on random
-multigraphs with loops, parallel edges and several components.
+multigraphs with loops, parallel edges and several components, and on paths
+listed from the far end, where the scan takes one pass per vertex.
 
 The Monte Carlo kernel of ``run_sampled`` (one uniform block per chunk and a
 guide-table constraint draw) is checked against the per-chunk loop with
@@ -561,6 +562,16 @@ def multigraphs(draw):
     return Graph(v, tuple(draw(st.lists(ends, max_size=10))))
 
 
+@st.composite
+def far_end_paths(draw):
+    """A path on up to 12 vertices listed from the far end, each edge in
+    either orientation: the scan reaches one vertex per pass."""
+    v = draw(st.integers(1, 12))
+    flips = draw(st.lists(st.booleans(), min_size=v - 1, max_size=v - 1))
+    return Graph(v, tuple((v - k + 1, v - k) if flip else (v - k, v - k + 1)
+                          for k, flip in enumerate(flips, start=1)))
+
+
 def ref_components(g):
     """The depth-first search over vertex stars."""
     seen, comps, stars = set(), [], vertex_stars(g)
@@ -628,7 +639,7 @@ def _outcome(f, *args):
         return str(exc)
 
 
-@given(multigraphs(), st.data())
+@given(st.one_of(multigraphs(), far_end_paths()), st.data())
 def test_forest_walk_matches_the_searches(g, data):
     assert components(g) == ref_components(g)
     assert is_connected(g) == (len(ref_components(g)) == 1)

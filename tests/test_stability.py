@@ -959,6 +959,15 @@ def test_a_cap_below_the_input_degree_is_an_input_error():
         global_defect("cocycle", a, 3, hom_guard=1)
 
 
+def test_stability_profile_refuses_an_empty_table():
+    x = instances.complete_complex(4)
+    for samples, grid in ((0, [0.0]), (-1, [0.0]), (1, [])):
+        with pytest.raises(ValueError, match="at least one sample and one corruption level"):
+            stability_profile(x, 2, grid, samples, seed=1)
+    with pytest.raises(ValueError, match="got samples 0 and 1 levels"):
+        stability_profile(A3, 2, [0.5], 0, seed=1)
+
+
 @pytest.mark.parametrize("level", [2.0, -1.0, 1.5, float("nan")])
 def test_stability_profile_refuses_levels_outside_the_unit_interval(level):
     with pytest.raises(ValueError, match=f"corruption level {level}"):
