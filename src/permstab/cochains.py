@@ -435,19 +435,42 @@ def alignment_guard_refuses(vertex_count: int, n: int, big: int, guard: int) -> 
     return math.perm(big, n) ** vertex_count > guard
 
 
-def _orbit_agreements(g: Graph, a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
+def _orbit_agreements(g: Graph, a: np.ndarray, b: np.ndarray,
+                      pinned: bool = False) -> tuple[int, int]:
     """The agreement kernel of orbit_distance on 0-based (edges, n) images a
-    and (edges, big) images b: relabeling b by one injection m_v per vertex,
-    edge x -> y agrees where m_x(a(i)) = b(m_y(i)).  Each edge's table of
-    counts feeds ``graphs._best_alignment`` over the P(big, n)^V injection
-    tuples; a loop adds its diagonal only.  Returns the best total and the
-    first flat index attaining it."""
-    inj = _injections(a.shape[1], b.shape[1])
-    lhs, rhs = inj[:, a].swapaxes(0, 1), b[:, inj]   # m_x(a(i)), b(m_y(i)) per edge
-    return _best_alignment((len(inj),) * g.vertex_count, (
-        (x - 1, y - 1, (lhs[e] == rhs[e]).sum(axis=1) if x == y
-         else (lhs[e][:, None, :] == rhs[e][None, :, :]).sum(axis=2))
-        for e, (x, y) in enumerate(g.edges)))
+    and (edges, big) images b, or a (count, edges, big) stack of them:
+    relabeling b by one injection m_v per vertex, edge x -> y agrees where
+    m_x(a(i)) = b(m_y(i)).  Each edge's table of counts feeds
+    ``graphs._best_alignment`` over the P(big, n)^V injection tuples, with
+    a leading candidate axis for a stack; a loop adds its diagonal only.
+    Returns the best total and the first flat index attaining it.
+
+    ``pinned`` fixes vertex 1 to the first injection, for the identity
+    candidate b only.  Its agreements are unchanged when one permutation is
+    applied after every m_v, and that action is transitive on injections, so
+    some best tuple has the first injection at vertex 1: the pinned tensor
+    has the full one's best total and first flat index, at 1/P of its size.
+    """
+    if pinned and g.vertex_count == 1:   # one tuple, injection 0: a's fixed points agree
+        return int(np.count_nonzero(a == np.arange(a.shape[1]))), 0
+    inj = _injections(a.shape[1], b.shape[-1])
+    lhs = inj[:, a].swapaxes(0, 1)   # per edge, m_x(a(i)) for each injection
+    rhs = b[..., inj] if b.ndim == 2 else b[..., inj].swapaxes(0, 1)   # per edge, b(m_y(i))
+    sizes = [len(inj)] * g.vertex_count
+    if pinned:
+        sizes[0] = 1
+
+    def tables():   # one at a time: a table can be P x P
+        for e, (x, y) in enumerate(g.edges):
+            left, right = lhs[e], rhs[e]
+            if pinned and x == 1:
+                left = left[:1]
+            if pinned and y == 1:
+                right = right[..., :1, :]
+            yield x - 1, y - 1, ((left == right).sum(axis=-1) if x == y else
+                                 (left[:, None, :] == right[..., None, :, :]).sum(axis=-1))
+
+    return _best_alignment(sizes, tables(), b.shape[:-2])
 
 
 def _relabeling(space: PolygonalComplex | Graph, candidate: np.ndarray, n: int,

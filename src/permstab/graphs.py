@@ -457,17 +457,22 @@ def _injections(n: int, big: int) -> np.ndarray:
     return inj
 
 
-def _best_alignment(sizes: Sequence[int],
-                    terms: Iterable[tuple[int, int, np.ndarray]]) -> tuple[int, int]:
+def _best_alignment(sizes: Sequence[int], terms: Iterable[tuple[int, int, np.ndarray]],
+                    lead: tuple[int, ...] = ()) -> tuple[int, int]:
     """The one fiber-alignment kernel: a dense tensor of shape ``sizes``, one
     axis of injections per base vertex, to which each term (x, y, table) adds
     table[i, j] at index i on axis x and j on axis y, or table[i] on a loop
-    x == y.  Returns the best total and the first flat index attaining it."""
-    total = np.zeros(tuple(sizes), dtype=np.intp)
+    x == y.  Returns the best total and the first flat index attaining it.
+
+    With ``lead`` the tensor has those leading axes (one per candidate, say)
+    and every table has them too, so many alignments are scored in one pass
+    and the flat index runs over the whole ``lead + sizes`` tensor.
+    """
+    total = np.zeros((*lead, *sizes), dtype=np.intp)
     for x, y, table in terms:
         shape = [1] * len(sizes)
         shape[x], shape[y] = sizes[x], sizes[y]
-        total += (table.T if x > y else table).reshape(shape)
+        total += (table.swapaxes(-1, -2) if x > y else table).reshape(*lead, *shape)
     flat = int(np.argmax(total))
     return int(total.flat[flat]), flat
 

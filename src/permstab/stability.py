@@ -6,6 +6,13 @@ over degrees N in [n, n_max] (default n + 2) and results are always labeled:
 most n_max was found, ``heuristic`` means some search guard tripped and the
 value is only a best-found upper bound.
 
+Each degree's work is a few numpy passes, not a Python loop per candidate:
+the homomorphisms are enumerated a block of prefixes at a time
+(``_backtrack``), and the conjugacy-class representatives are aligned
+together, the identity cochain with one vertex's injection pinned
+(``_align_representatives``).  Bounds, labels and witnesses are those of a
+loop over every candidate.
+
 A degree-N target agrees with a degree-n input on at most n of N points per
 edge or generator, so it lies at distance at least 1 - n/N.  Once the best
 bound found is at most that floor, degree N cannot improve on it (ties keep
@@ -21,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +47,8 @@ from .testers import GENERATOR_ID, hom_local_defect
 DEFAULT_HOM_GUARD = 10 ** 8
 DEFAULT_ALIGNMENT_GUARD = 10 ** 6
 DEFAULT_ENUM_GUARD = 10 ** 6
+# alignment tensor entries per batch of representatives, unless one alone is larger
+_ALIGN_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -95,65 +104,119 @@ def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> np.ndarra
     renumber = {g: i for i, g in enumerate(free, start=1)}
     found = _backtrack(len(free), [tuple(renumber[s] if s > 0 else -renumber[-s] for s in r)
                                    for r in relators if r], degree)
-    rows = np.zeros((len(found), p.generator_count), dtype=np.intp)
-    rows[:, np.asarray(free, dtype=np.intp) - 1] = found
+    rows = found   # a new array, which only the cache holds
+    if pinned:
+        rows = np.zeros((len(found), p.generator_count), dtype=np.intp)
+        rows[:, np.asarray(free, dtype=np.intp) - 1] = found
     rows.flags.writeable = False
     return rows
+
+
+# (prefix, row) pairs folded per block: a block of prefixes is extended by
+# every Sym(degree) row at once, so a level's frontier is never built whole
+_BLOCK = 1 << 16
+# grids of at most this many (pair, point) entries are checked at every point at once
+_SMALL_GRID = 1 << 12
 
 
 def _backtrack(generator_count: int, relators: Sequence[tuple[int, ...]],
                degree: int) -> np.ndarray:
     """The assignments of _sym(degree) rows to the generators that kill every
     relator, none of them empty, as an (H, generator_count) array in
-    lexicographic order."""
-    images, inverses = _sym(degree)[:2] if generator_count else (None, None)
-    ident = np.arange(degree)
+    lexicographic order.
+
+    Depth-first over blocks: a block of at most ``_BLOCK // degree!``
+    prefixes, in order, is extended by every row in one ``_extend`` call,
+    and its survivors are extended in turn before the next block.  The walk
+    keeps an explicit stack, so a call leaves no reference cycle behind for
+    the garbage collector.
+    """
+    if not generator_count:   # with no generator there is no relator left to check
+        return np.zeros((1, 0), dtype=np.intp)
+    images, inverses = _sym(degree)[:2]
+    step = max(1, _BLOCK // len(images))
     # a relator can be checked once every generator it mentions is assigned
     by_level: list[list[tuple[int, ...]]] = [[] for _ in range(generator_count + 1)]
     for r in relators:
         by_level[max(abs(s) for s in r)].append(r)
     found: list[np.ndarray] = []
-    chosen: list[int] = []  # rows of the generators assigned so far
+    stack = [(np.zeros((1, 0), dtype=np.intp), 0)]   # (prefixes, first one not extended)
+    while stack:
+        prefixes, start = stack.pop()
+        if start + step < len(prefixes):
+            stack.append((prefixes, start + step))
+        level = prefixes.shape[1] + 1
+        block = _extend(prefixes[start:start + step], by_level[level], images, inverses)
+        if level == generator_count:
+            found.append(block)
+        elif len(block):
+            stack.append((block, 0))
+    # the trivial homomorphism always survives, so ``found`` is never empty
+    return found[0] if len(found) == 1 else np.concatenate(found)
 
-    def survivors(level: int) -> np.ndarray:
-        """Rows for generator ``level`` that kill every relator closing there.
 
-        Each relator is folded once for all rows: assigned generators are
-        single rows, the new generator is the whole array.
-        """
-        keep = np.ones(len(images), dtype=bool)
-        for r in by_level[level]:
-            acc = None
-            for letter in r:
-                table = images if letter > 0 else inverses
-                factor = table if abs(letter) == level else table[chosen[abs(letter) - 1]]
-                if acc is None:
-                    acc = factor
-                elif acc.ndim == 1:
-                    acc = acc[factor]
-                elif factor.ndim == 1:
-                    acc = acc[:, factor]
-                else:
-                    acc = np.take_along_axis(acc, factor, axis=1)
-            keep &= (acc == ident).all(axis=1)  # acc is 2-D: r mentions level
-        return np.flatnonzero(keep)
+def _extend(prefixes: np.ndarray, relators: Sequence[tuple[int, ...]],
+            images: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """The (prefix, row) pairs, prefix-major, whose new generator row kills
+    every relator, all of which close at this level, as (pairs, level) rows.
 
-    def back(level: int) -> None:
-        rows = survivors(level + 1)
-        if level + 1 == generator_count:
-            found.append(np.empty((len(rows), level + 1), dtype=np.intp))
-            found[-1][:, :-1], found[-1][:, -1] = chosen, rows
-            return
-        for j in rows.tolist():
-            chosen.append(j)
-            back(level + 1)
-            chosen.pop()
+    A relator l1 ... lk is the identity exactly when l1 ... lh and
+    lk^-1 ... l(h+1)^-1 agree, h = ceil(k/2), on every point but the last
+    (two permutations that agree on all points but one agree on it too).
+    Both sides are evaluated right to left at a point: each letter is one
+    gather from a small table, the letter's image row per prefix or per new
+    row, at (row * degree + point).  A small grid of pairs is checked at
+    every point at once; a larger one at point 0, and then point by point
+    on the pairs that survive.
+    """
+    count, degree = images.shape
+    level = prefixes.shape[1] + 1
+    grid = (len(prefixes), count)
+    if not relators or degree == 1:
+        out = np.empty((grid[0] * count, level), dtype=np.intp)
+        out[:, :-1] = np.repeat(prefixes, count, axis=0)
+        out[:, -1] = np.tile(np.arange(count), grid[0])
+        return out
+    tables = {}
+    for g in {abs(s) for r in relators for s in r}:
+        for s, table in ((g, images), (-g, inverses)):
+            tables[s] = (table if g == level else table[prefixes[:, g - 1]]).ravel(), g == level
+    starts = (np.arange(grid[0]) * degree, np.arange(count) * degree)   # (prefix, new row)
+    if grid[0] * count * degree <= _SMALL_GRID:
+        offsets = (starts[0][:, None, None], starts[1][None, :, None])
+        points = np.arange(degree - 1)
+        keep = reduce(np.logical_and, (_agree(r, points, tables, offsets).all(axis=-1)
+                                       for r in relators))
+        later = []
+    else:
+        keep = _agree(relators[0], 0, tables, (starts[0][:, None], starts[1][None, :]))
+        later = [(relators[0], point) for point in range(1, degree - 1)]
+        later += [(r, point) for r in relators[1:] for point in range(degree - 1)]
+    if keep.shape != grid:   # no relator mentions an assigned generator
+        keep = np.broadcast_to(keep, grid)
+    p, j = np.nonzero(keep)
+    for r, point in later:
+        keep = np.flatnonzero(_agree(r, point, tables, (p * degree, j * degree)))
+        p, j = p[keep], j[keep]
+    out = np.empty((len(p), level), dtype=np.intp)
+    out[:, :-1], out[:, -1] = prefixes[p], j
+    return out
 
-    if generator_count:
-        back(0)
-    else:   # with no generator there is no relator left to check
-        found.append(np.zeros((1, 0), dtype=np.intp))
-    return np.concatenate(found)
+
+def _agree(relator: tuple[int, ...], points, tables: dict,
+           offsets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Where the two sides of ``relator`` (see ``_extend``) agree at
+    ``points``, for the pairs whose (prefix, new row) table offsets are
+    ``offsets``; the shapes broadcast."""
+    half = (len(relator) + 1) // 2
+    sides = []
+    for letters in (relator[:half], [-s for s in reversed(relator[half:])]):
+        x = points
+        for s in reversed(letters):
+            flat, new = tables[s]
+            x = flat[offsets[new] + x]
+        sides.append(x)
+    return sides[0] == sides[1]
 
 
 def enumerate_homomorphisms(p: Presentation, degree: int,
@@ -161,13 +224,14 @@ def enumerate_homomorphisms(p: Presentation, degree: int,
     """All generator assignments into Sym(degree) killing every relator.
 
     Generators that one-letter relators pin to the identity are fixed first;
-    the rest are found by backtracking in lexicographic order of image
-    tuples.  A relator is checked at the level of its highest generator, for
-    every choice of that generator in one batched numpy fold over the
-    (degree!, degree) image array, and the search recurses over the
-    surviving choices in ascending order.  The search keeps Sym(degree) row
-    indices; this wraps them as Permutations.  Refuses when the raw search
-    space |Sym(degree)|^generators exceeds the guard.
+    the rest are found depth-first in lexicographic order of image tuples.
+    A block of prefixes is extended by every Sym(degree) row at once, and a
+    relator is checked at the level of its highest generator as a few numpy
+    gathers over the whole block (see ``_extend``); the block's survivors are
+    extended before the next block, so a level is never built whole.  The
+    search keeps Sym(degree) row indices; this wraps them as Permutations.
+    Refuses when the raw search space |Sym(degree)|^generators exceeds the
+    guard.
     """
     perms = _permutations(_sym(degree)[0]) if p.generator_count else ()
     return [tuple(perms[i] for i in row)
@@ -290,9 +354,11 @@ def _orbit_search(alpha: Cochain1, presentation: Presentation,
 
     A conjugate g^-1 cand g is cand acted on by the constant 0-cochain g, so
     it could only tie, and ties keep the first minimum: only the first
-    candidate of each conjugacy class is aligned.  When the alignment guard
-    refuses a degree (it depends on the degree alone), every candidate is
-    measured at the identity alignment and the result is flagged inexact.
+    candidate of each conjugacy class is aligned, and all of a degree's
+    representatives are aligned together by ``_align_representatives``.
+    When the alignment guard refuses a degree (it depends on the degree
+    alone), every candidate is measured at the identity alignment and the
+    result is flagged inexact.
     """
     g = skeleton_of(alpha.space)
     n, m = alpha.degree, len(g.edges)
@@ -312,17 +378,37 @@ def _orbit_search(alpha: Cochain1, presentation: Presentation,
             d, k = _closest(rows, a[positions], degree, tree_fixed, total)
             return d, lambda: Cochain1._of(alpha.space, degree, _tree_trivial(
                 rows[k:k + 1], generator_edges, m, degree)[0]), False
-        reps, best = _tree_trivial(rows[_class_representatives(rows, degree)],
-                                   generator_edges, m, degree), -1
-        for k, cand in enumerate(reps):
-            agree, flat = _orbit_agreements(g, a, cand)
-            if agree > best:
-                best, where = agree, (k, flat)
-                if agree == total:
-                    break
+        reps = _tree_trivial(rows[_class_representatives(rows, degree)],
+                             generator_edges, m, degree)
+        best, k, flat = _align_representatives(g, a, reps)
         return (Fraction(total - best, total),
-                lambda: _relabeling(alpha.space, reps[where[0]], n, where[1])[1], True)
+                lambda: _relabeling(alpha.space, reps[k], n, flat)[1], True)
     return _search(n, n_max, refused, measure)
+
+
+def _align_representatives(g: Graph, a: np.ndarray, reps: np.ndarray) -> tuple[int, int, int]:
+    """The most agreements of the 0-based (edges, n) images ``a`` with a
+    relabeling of one of the (count, edges, big) candidates ``reps``, and the
+    first (candidate, flat index of ``_orbit_agreements``) attaining it: what
+    a loop over the candidates that keeps strictly better ones returns.
+
+    ``reps[0]`` must be the identity cochain, the extension of the trivial
+    homomorphism, which comes first among the homomorphisms: it is aligned
+    with vertex 1 pinned.  The others go in blocks of at most max(P^V,
+    ``_ALIGN_BLOCK``) tensor entries, one kernel call and one first argmax
+    per block, and no block runs once every point of every edge agrees.
+    """
+    best, flat = _orbit_agreements(g, a, reps[0], pinned=True)
+    where = (0, flat)
+    size = math.perm(reps.shape[-1], a.shape[1]) ** g.vertex_count
+    step = max(1, max(size, _ALIGN_BLOCK) // size)
+    for start in range(1, len(reps), step):
+        if best == a.size:
+            break
+        agree, flat = _orbit_agreements(g, a, reps[start:start + step])
+        if agree > best:
+            best, where = agree, (start + flat // size, flat % size)
+    return (best, *where)
 
 
 def global_defect(kind: str, obj, n_max: int | None = None, *,

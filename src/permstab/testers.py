@@ -289,6 +289,11 @@ def _sampled_rejections(mu: Sequence[Fraction], tables: list[np.ndarray], trials
         # rows of about _CHUNK entries instead of rows of length k
         rows = 1 << max(0, (_CHUNK // k).bit_length() - 1)
         orients, points, offsets = (np.tile(v, rows) for v in (orients, points, offsets))
+        # one chunk's buffers, allocated once per call: each chunk fills views
+        width = min(trials, _CHUNK) * k
+        uniforms, rejected = np.empty(2 * width), np.empty(width, dtype=bool)
+        index, term = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
+        hits = np.empty(min(trials, _CHUNK), dtype=bool)
     else:
         weights = np.array([float(w) for w in mu])
         guide = _constraint_guide(weights / weights.sum())
@@ -297,16 +302,23 @@ def _sampled_rejections(mu: Sequence[Fraction], tables: list[np.ndarray], trials
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))))
         if linf:
-            # the random((2, size, k)) block, read g trials to a row
+            # the random((2, size, k)) block, read g trials to a row; a
+            # float-to-int copy truncates, as astype does
             g = math.gcd(size, rows)
             m = g * k
-            u = rng.random((2, size // g, m))
-            idx = (u[0] * orients[:m]).astype(np.intp)
+            u = rng.random(out=uniforms[:2 * size * k].reshape(2, size // g, m))
+            idx, add = (b[:size * k].reshape(size // g, m) for b in (index, term))
+            np.copyto(idx, np.multiply(u[0], orients[:m], out=u[0]), casting="unsafe")
             idx *= points[:m]
             idx += offsets[:m]
-            idx += (u[1] * points[:m]).astype(np.intp)
-            rej = flat[idx].reshape(size, k)
-            hit = rej[:, 0].copy()
+            np.copyto(add, np.multiply(u[1], points[:m], out=u[1]), casting="unsafe")
+            idx += add
+            # "clip" never clips here (every index is in range) and, unlike
+            # "raise", writes straight into ``out``
+            rej = np.take(flat, index[:size * k], out=rejected[:size * k],
+                          mode="clip").reshape(size, k)
+            hit = hits[:size]
+            np.copyto(hit, rej[:, 0])
             for column in rej.T[1:]:
                 hit |= column
             return int(np.count_nonzero(hit))

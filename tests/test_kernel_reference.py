@@ -26,6 +26,13 @@ The Monte Carlo kernel of ``run_sampled`` (one uniform block per chunk and a
 guide-table constraint draw) is checked against the per-chunk loop with
 ``Generator.choice`` that it replaced: the outcomes must be equal, not just
 close.
+
+The global-defect search's two batched passes are checked against the loops
+they replaced: the block enumeration of ``stability._backtrack`` against the
+recursive backtracking that folded each relator once per prefix, and
+``stability._align_representatives`` (every class representative in one
+kernel call, the identity with a pinned root) against a strict ``>`` loop
+that builds each representative's whole alignment tensor on its own.
 """
 
 import itertools
@@ -33,17 +40,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from permstab import fileio, instances
+from permstab import fileio, instances, stability
 from permstab.cochains import (Cochain0, Cochain1, _injections, _relabeling, act0on1,
                                coboundary0, coboundary_distance, cochain_distance,
                                cochain_norm, cochain_to_covering, covering_to_cochain,
                                edge_norm, is_coboundary, orbit_distance, path_value,
                                skeleton_of, tree_normalize)
 from permstab.complexes import (PolygonalComplex, PolygonClass, Presentation,
-                                polygon_weights, presentation_complex)
+                                fundamental_presentation, polygon_weights,
+                                presentation_complex)
 from permstab.graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
                              check_covering, components, is_connected, origin,
                              spanning_tree, terminus, tree_paths_to_root, validate_map,
@@ -748,3 +756,180 @@ def test_guide_draw_equals_choice_search_at_every_boundary(mu):
     inside = np.zeros(4096, dtype=bool)
     inside[scaled[scaled != np.floor(scaled)].astype(np.intp)] = True
     assert (mixed == inside).all()
+
+
+# ---------------------------------------------------------------------------
+# the global-defect search's batched passes against the loops they replaced
+
+
+def ref_backtrack(generator_count, relators, degree):
+    """Recursive backtracking: each relator is folded when its highest
+    generator is assigned, once per prefix, over all rows of that generator."""
+    images, inverses = stability._sym(degree)[:2]
+    ident = np.arange(degree)
+    by_level = [[] for _ in range(generator_count + 1)]
+    for r in relators:
+        by_level[max(abs(s) for s in r)].append(r)
+    found, chosen = [], []
+
+    def survivors(level):
+        keep = np.ones(len(images), dtype=bool)
+        for r in by_level[level]:
+            acc = None
+            for letter in r:
+                table = images if letter > 0 else inverses
+                factor = table if abs(letter) == level else table[chosen[abs(letter) - 1]]
+                if acc is None:
+                    acc = factor
+                elif acc.ndim == 1:
+                    acc = acc[factor]
+                elif factor.ndim == 1:
+                    acc = acc[:, factor]
+                else:
+                    acc = np.take_along_axis(acc, factor, axis=1)
+            keep &= (acc == ident).all(axis=1)
+        return np.flatnonzero(keep)
+
+    def back(level):
+        for j in survivors(level + 1).tolist():
+            chosen.append(j)
+            if level + 1 == generator_count:
+                found.append(list(chosen))
+            else:
+                back(level + 1)
+            chosen.pop()
+
+    if not generator_count:
+        return np.zeros((1, 0), dtype=np.intp)
+    back(0)
+    return np.array(found, dtype=np.intp).reshape(-1, generator_count)
+
+
+@st.composite
+def raw_presentations(draw):
+    """1-4 generators, 0-3 relators of 1-6 letters (one-letter and freely
+    reducible ones included: nothing is presolved here), degree 1-4."""
+    gens = draw(st.integers(1, 4))
+    letters = st.sampled_from([s for k in range(1, gens + 1) for s in (k, -k)])
+    relators = draw(st.lists(st.lists(letters, min_size=1, max_size=6).map(tuple), max_size=3))
+    return gens, relators, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_presentations(), st.sampled_from([1 << 16, 64, 1]), st.sampled_from([1 << 12, 0]))
+def test_block_enumeration_matches_recursive_backtracking(case, block, small_grid):
+    # small blocks split a level into many; a zero small grid sends every
+    # check through the point-0 grid pass and the survivor list
+    gens, relators, degree = case
+    saved = stability._BLOCK, stability._SMALL_GRID
+    stability._BLOCK, stability._SMALL_GRID = block, small_grid
+    try:
+        rows = stability._backtrack(gens, relators, degree)
+    finally:
+        stability._BLOCK, stability._SMALL_GRID = saved
+    expected = ref_backtrack(gens, relators, degree)
+    assert rows.shape == expected.shape
+    assert (rows == expected).all()
+
+
+def test_block_enumeration_of_four_generators_at_degree_four():
+    # 24^3 prefixes before the relators close, split over several blocks
+    relators = [(1, 2, -1, -2), (3, 4, -3, -4), (1, 3, -1, -3, 2, 4, -2, -4)]
+    rows = stability._backtrack(4, relators, 4)
+    assert (rows == ref_backtrack(4, relators, 4)).all()
+
+
+def ref_align_every_candidate(g, a, reps):
+    """(best, representative, flat index): the whole P^V alignment tensor of
+    each representative in turn, built from per-edge count tables, and a
+    strict > over representatives, so the first of equal totals is kept."""
+    n, big = a.shape[1], reps.shape[-1]
+    inj = np.array(list(itertools.permutations(range(big), n)), dtype=np.intp)
+    v = g.vertex_count
+    best = None
+    for k, b in enumerate(reps):
+        total = np.zeros((len(inj),) * v, dtype=np.intp)
+        for e, (x, y) in enumerate(g.edges):
+            # agree[i, j]: points t with m_i(a(t)) == b(m_j(t))
+            agree = np.array([[int(np.sum(mi[a[e]] == b[e][mj])) for mj in inj] for mi in inj])
+            if x == y:
+                shape = [1] * v
+                shape[x - 1] = len(inj)
+                total += np.diagonal(agree).reshape(shape)
+            else:
+                shape = [1] * v
+                shape[x - 1] = shape[y - 1] = len(inj)
+                total += (agree if x < y else agree.T).reshape(shape)
+        flat = int(np.argmax(total))
+        if best is None or total.flat[flat] > best[0]:
+            best = (int(total.flat[flat]), k, flat)
+    return best
+
+
+ALIGN_SPACES = [instances.bouquet_a3(), instances.torus_complex(), instances.triangle_complex(),
+                MIXED, instances.complete_complex(4)]
+
+
+@st.composite
+def aligned_inputs(draw):
+    """An input cochain and the class representatives of one degree: random,
+    the identity (many ties), or a relabeled representative (distance 0)."""
+    x = draw(st.sampled_from(ALIGN_SPACES))
+    g = x.skeleton
+    n = draw(st.integers(1, 3))
+    big = draw(st.integers(n, n + 1))
+    assume(len(_injections(n, big)) ** g.vertex_count <= 2000)
+    fp = fundamental_presentation(x, 1)
+    rows = stability._homomorphisms_cached(fp.presentation, big, stability.DEFAULT_HOM_GUARD)
+    reps = stability._tree_trivial(rows[stability._class_representatives(rows, big)],
+                                   fp.generator_edges, len(g.edges), big)
+    kind = draw(st.sampled_from(["random", "identity", "cocycle"]))
+    if kind == "identity":
+        a = np.tile(np.arange(n), (len(g.edges), 1))
+    elif kind == "cocycle" and big == n:
+        k = draw(st.integers(0, len(reps) - 1))
+        beta = draw(cochain0s(x, n))
+        a = act0on1(beta, Cochain1._of(x, n, reps[k])).rows
+    else:
+        a = draw(cochains(x, n)).rows
+    return g, a, reps
+
+
+@settings(max_examples=80, deadline=None)
+@given(aligned_inputs(), st.sampled_from([1 << 16, 1]))
+def test_batched_alignment_matches_the_candidate_loop(inputs, block):
+    # a unit block aligns one representative per kernel call
+    g, a, reps = inputs
+    saved, stability._ALIGN_BLOCK = stability._ALIGN_BLOCK, block
+    try:
+        got = stability._align_representatives(g, a, reps)
+    finally:
+        stability._ALIGN_BLOCK = saved
+    assert got == ref_align_every_candidate(g, a, reps)
+
+
+def test_batched_alignment_ties_and_zero_distance():
+    # every degree-3 torus cochain against the 8 class representatives:
+    # representatives tie for the best total on many of them, and each
+    # relabeled representative is found at distance 0
+    x = instances.torus_complex()
+    g, fp = x.skeleton, fundamental_presentation(x, 1)
+    rows = stability._homomorphisms_cached(fp.presentation, 3, stability.DEFAULT_HOM_GUARD)
+    reps = stability._tree_trivial(rows[stability._class_representatives(rows, 3)],
+                                   fp.generator_edges, len(g.edges), 3)
+    sym3 = stability._sym(3)[0]
+    ties = 0
+    for pair in itertools.product(range(6), repeat=2):
+        a = sym3[list(pair)]
+        expected = ref_align_every_candidate(g, a, reps)
+        for block in (1 << 16, 1):
+            saved, stability._ALIGN_BLOCK = stability._ALIGN_BLOCK, block
+            try:
+                assert stability._align_representatives(g, a, reps) == expected
+            finally:
+                stability._ALIGN_BLOCK = saved
+        ties += sum(ref_align_every_candidate(g, a, reps[k:k + 1])[0] == expected[0]
+                    for k in range(len(reps))) > 1
+    assert ties
+    for k in range(len(reps)):
+        assert stability._align_representatives(g, reps[k], reps)[0] == reps[k].size

@@ -139,6 +139,65 @@ def test_class_representatives_are_the_first_of_each_conjugacy_class():
             assert stability._class_representatives(rows, degree).tolist() == first
 
 
+# closed-form counts: |Hom(Z^2, Sym(N))| = N! p(N), since a commuting pair is
+# a permutation and an element of its centralizer, and summing centralizer
+# orders over Sym(N) counts N! per conjugacy class; the classes of commuting
+# pairs number 8, 21 and 39 at N = 3, 4, 5.  At degree 2, Sym(2) is Z/2, so
+# the homomorphisms are the solutions of the exponent sums mod 2.
+
+
+def _partitions(n: int) -> int:
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
+
+
+def test_torus_homomorphisms_number_n_factorial_times_partitions():
+    torus = fundamental_presentation(instances.torus_complex(), 1).presentation
+    counts = [len(stability._homomorphisms_cached(torus, n, stability.DEFAULT_HOM_GUARD))
+              for n in range(2, 7)]
+    assert counts == [math.factorial(n) * _partitions(n) for n in range(2, 7)]
+    assert counts == [4, 18, 120, 840, 7920]
+
+
+def test_torus_commuting_pair_classes():
+    torus = fundamental_presentation(instances.torus_complex(), 1).presentation
+    classes = [len(stability._class_representatives(stability._homomorphisms_cached(
+        torus, n, stability.DEFAULT_HOM_GUARD), n)) for n in (3, 4, 5)]
+    assert classes == [8, 21, 39]
+
+
+def _rank_mod_2(rows: list[int]) -> int:
+    rank, rows = 0, [r for r in rows if r]
+    while rows:
+        pivot = max(rows)
+        top = pivot.bit_length() - 1
+        rows = [r ^ pivot if r >> top & 1 else r for r in rows if r != pivot]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+@st.composite
+def degree_two_presentations(draw):
+    gens = draw(st.integers(1, 6))
+    letters = st.sampled_from([s for k in range(1, gens + 1) for s in (k, -k)])
+    return Presentation(gens, tuple(draw(st.lists(st.lists(letters, min_size=1, max_size=8)
+                                                   .map(tuple), max_size=4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree_two_presentations())
+def test_degree_two_homomorphisms_number_two_to_the_corank(p):
+    # row r of the exponent-sum matrix mod 2, as a bit mask over generators
+    masks = [sum(1 << (g - 1) for g in range(1, p.generator_count + 1)
+                 if sum((s > 0) - (s < 0) for s in r if abs(s) == g) % 2) for r in p.relators]
+    rows = stability._homomorphisms_cached(p, 2, stability.DEFAULT_HOM_GUARD)
+    assert len(rows) == 2 ** (p.generator_count - _rank_mod_2(masks))
+
+
 # ---------------------------------------------------------------------------
 # global defects
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -13,10 +14,11 @@ from permstab.cochains import (Cochain1, cochain_norm, cochain_to_covering,
 from permstab.complexes import (Presentation, fundamental_presentation,
                                 polygon_weights, presentation_complex)
 from permstab.perm import Permutation, random_permutation
-from permstab.testers import (GENERATOR_ID, DefectReport, cocycle_local_defect,
-                              cover_local_defect, dm_cover_local_defect,
-                              hom_local_defect, local_defect, matrix_tester,
-                              matrix_to_presentation, run_sampled, vector_to_images)
+from permstab.testers import (_CHUNK, GENERATOR_ID, DefectReport, _sampled_rejections,
+                              cocycle_local_defect, cover_local_defect,
+                              dm_cover_local_defect, hom_local_defect, local_defect,
+                              matrix_tester, matrix_to_presentation, run_sampled,
+                              vector_to_images)
 
 ID2 = Permutation.identity(2)
 SWAP = Permutation([2, 1])
@@ -345,6 +347,26 @@ def test_run_sampled_golden_stream():
                         for trials in _GOLDEN_TRIALS)
             assert got == _GOLDEN[name, seed], (name, seed)
     assert GENERATOR_ID == "numpy-philox4x64/seedseq-chunk4096"
+
+
+def test_linf_chunks_reuse_one_set_of_buffers():
+    # 40 chunks of 32 constraints: the peak is one chunk's uniforms, index
+    # terms and rejections, the hit row and the tiled shapes, plus a fixed
+    # slack for numpy's casting buffers; a temporary per chunk exceeds it
+    k, rows = 32, 4096 // 32
+    tables = [np.random.default_rng(c).random((2, 3)) < 0.3 for c in range(k)]
+    mu = [Fraction(1, k)] * k
+    _sampled_rejections(mu, tables, 2 * _CHUNK, 1, True)   # warm every code path
+    width = _CHUNK * k
+    itemsize = np.dtype(np.intp).itemsize
+    buffers = width * (2 * 8 + 2 * itemsize + 1) + _CHUNK + 3 * rows * k * itemsize
+    tracemalloc.start()
+    try:
+        _sampled_rejections(mu, tables, 40 * _CHUNK, 1, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + 256 * 1024
 
 
 @pytest.mark.parametrize("trials", [1e6, 2.0, True, np.True_, "10", None])
