@@ -115,7 +115,10 @@ def _homomorphisms_cached(p: Presentation, degree: int, guard: int) -> np.ndarra
 # (prefix, row) pairs folded per block: a block of prefixes is extended by
 # every Sym(degree) row at once, so a level's frontier is never built whole
 _BLOCK = 1 << 16
-# grids of at most this many (pair, point) entries are checked at every point at once
+# grids of at most this many (pair, point) entries are checked at every point
+# at once, in fewer numpy calls than the survivor pass; sending every grid
+# through the survivor pass instead made search_small_n's op_p50_ms 2.7 % and
+# op_tail_ms 6.5 % higher (medians of ten paired 30 s runs, seed 1)
 _SMALL_GRID = 1 << 12
 
 
@@ -172,7 +175,7 @@ def _extend(prefixes: np.ndarray, relators: Sequence[tuple[int, ...]],
     count, degree = images.shape
     level = prefixes.shape[1] + 1
     grid = (len(prefixes), count)
-    if not relators or degree == 1:
+    if not relators:
         out = np.empty((grid[0] * count, level), dtype=np.intp)
         out[:, :-1] = np.repeat(prefixes, count, axis=0)
         out[:, -1] = np.tile(np.arange(count), grid[0])

@@ -741,6 +741,22 @@ def test_sampled_rejections_match_choice_loop(inputs, linf):
         ref_sampled_rejections(mu, tables, trials, seed, linf)
 
 
+def test_linf_chunks_read_no_index_past_the_tables():
+    # the L-infinity loop gathers with mode="clip", which reads the last
+    # table entry for an index past the end instead of raising: make that the
+    # only rejecting entry, with seven tables of unequal shapes (7 does not
+    # divide the chunk) and a short last chunk, so a clipped index shows as
+    # extra rejections against the reference's raising flat[index]
+    shapes = [(1, 2), (3, 5), (2, 7), (4, 1), (1, 6), (2, 3), (5, 4)]
+    tables = [np.zeros(shape, dtype=bool) for shape in shapes]
+    tables[-1][-1, -1] = True
+    mu = [Fraction(1, len(tables))] * len(tables)
+    for seed in (0, 1, 2):
+        expected = ref_sampled_rejections(mu, tables, 3 * _CHUNK + 123, seed, True)
+        assert expected > 0
+        assert _sampled_rejections(mu, tables, 3 * _CHUNK + 123, seed, True) == expected
+
+
 @given(guide_weights())
 def test_guide_draw_equals_choice_search_at_every_boundary(mu):
     # choice returns cdf.searchsorted(u, side="right"); a wrong side, cell or
