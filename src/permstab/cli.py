@@ -6,7 +6,8 @@ All randomness flows from --seed (default 1729); identical invocations
 produce byte-identical output.
 
 Exit codes: 0 success, 1 validation or check failure, 2 a search guard
-refused the work or tripped while --no-heuristic forbade the fallback.  A
+refused the work or tripped while --no-heuristic forbade the fallback, or
+argparse refused the command line (a usage error).  A
 guard with no fallback refuses in h1check and cheeger, and in equiv's cover
 check, whose edit search refuses when the cocycle witness was measured
 without alignment because --guard-align tripped.

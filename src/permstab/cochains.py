@@ -7,7 +7,8 @@ stored orientation of each edge and the reversal reads its inverse, so
 antisymmetry cannot be violated.  2-cochains only occur as coboundaries.
 Polygon values are evaluated in one batched fold over a signed value table
 (``_value_table``/``_fold``): one gather per word position for a whole batch
-of words.  Counts are taken in integers and turned into ``Fraction``s last.
+of words; ``_rate`` is the one reduction of its moved-point tables.  Counts
+are taken in integers and turned into ``Fraction``s last.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def coboundary1(a: Cochain1, path: Sequence[int]) -> Permutation:
 
 def is_cocycle(a: Cochain1) -> bool:
     x = _require_polygons(a.space)
-    return not any(t.any() for t in _polygon_tables(x, _value_table(a.rows), False))
+    return not any(t.any() for t in _polygon_tables(x, a.rows, False))
 
 
 def tree_normalize(alpha: Cochain1, tree: frozenset[int], root: int) -> tuple[Cochain1, Cochain0]:
@@ -246,16 +247,25 @@ def _fold(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _polygon_tables(x: PolygonalComplex, table: np.ndarray,
+def _moved(table: np.ndarray, words: Sequence[Sequence[int]]) -> np.ndarray:
+    """Moved points of a batch of words over a signed value table, one row per word."""
+    return _fold(table, _word_rows(words, table.shape[0] // 2)) != np.arange(table.shape[1])
+
+
+def _polygon_tables(x: PolygonalComplex, rows: np.ndarray,
                     every_orientation: bool) -> list[np.ndarray]:
-    """Moved points of the polygon values: per class, one row per orientation
-    (the canonical one, or all of them sorted) and one column per point."""
-    m, points = table.shape[0] // 2, np.arange(table.shape[1])
+    """Moved points of the polygon values of 0-based edge ``rows``, per class:
+    one row per orientation (canonical, or all sorted), one column per point."""
+    table = _value_table(rows)
     if not every_orientation:
-        rows = _word_rows([pc.canonical for pc in x.polygons], m)
-        return list((_fold(table, rows) != points)[:, None, :])
-    return [_fold(table, _word_rows(sorted(pc.orientations), m)) != points
-            for pc in x.polygons]
+        return list(_moved(table, [pc.canonical for pc in x.polygons])[:, None, :])
+    return [_moved(table, sorted(pc.orientations)) for pc in x.polygons]
+
+
+def _rate(mu: Sequence[Fraction], tables: list[np.ndarray]) -> Fraction:
+    """Exact rejection probability: sum of mu_c * (rejecting cells / cells)."""
+    return sum((w * Fraction(int(t.sum()), t.size) for w, t in zip(mu, tables)),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +288,15 @@ def _mu1(g: Graph, weights: WeightingSystem | None) -> tuple[Fraction, ...]:
     return weights.mu1
 
 
-
 def cochain_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fraction:
     """Norm of delta a: expected distance of the polygon value from identity.
 
     Evaluated on one representative per class; averaging over orientations
     would give the same value because fixed-point counts are invariant under
-    conjugation and inversion.
+    conjugation and inversion.  It is the cocycle tester's rejection rate.
     """
     x = _require_polygons(a.space)
-    tables = _polygon_tables(x, _value_table(a.rows), False)
-    return sum((w * Fraction(int(t.sum()), a.degree)
-                for w, t in zip(_mu2(x, weights), tables)), Fraction(0))
+    return _rate(_mu2(x, weights), _polygon_tables(x, a.rows, False))
 
 
 def edge_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fraction:
@@ -354,14 +361,6 @@ def cochain_to_covering(alpha: Cochain1) -> Covering:
     return Covering._of_lifts(skeleton_of(alpha.space), alpha.degree, alpha.rows)
 
 
-def _covering_images(c: Covering, space: PolygonalComplex | Graph) -> np.ndarray:
-    """The edge values read off a covering that covers the skeleton of
-    ``space``: its lift table, checked on first use (``Covering._lifts``)."""
-    if skeleton_of(space) != c.base:
-        raise ValueError("covering does not cover the skeleton of the given complex")
-    return c._lifts
-
-
 def covering_to_cochain(c: Covering, space: PolygonalComplex | Graph | None = None) -> Cochain1:
     """Read the 1-cochain off a covering via its fiber labels.
 
@@ -372,7 +371,9 @@ def covering_to_cochain(c: Covering, space: PolygonalComplex | Graph | None = No
     ``Covering._lifts``).
     """
     space = c.base if space is None else space
-    return Cochain1._of(space, c.degree, _covering_images(c, space))
+    if skeleton_of(space) != c.base:
+        raise ValueError("covering does not cover the skeleton of the given complex")
+    return Cochain1._of(space, c.degree, c._lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +428,9 @@ class OrbitDistanceResult:
     value: Fraction
     beta: Cochain0          # relabeling applied to the candidate
     witness: Cochain1       # beta.candidate, realizing the value against the input
+
+
+DEFAULT_ALIGNMENT_GUARD = 10 ** 6
 
 
 def alignment_guard_refuses(vertex_count: int, n: int, big: int, guard: int) -> bool:
@@ -492,7 +496,7 @@ def _relabeling(space: PolygonalComplex | Graph, candidate: np.ndarray, n: int,
 
 
 def orbit_distance(alpha: Cochain1, candidate: Cochain1,
-                   guard: int = 10 ** 6) -> OrbitDistanceResult:
+                   guard: int = DEFAULT_ALIGNMENT_GUARD) -> OrbitDistanceResult:
     """Minimum distance from alpha to the 0-cochain action orbit of candidate.
 
     The agreement count of alpha against beta.candidate depends only on the

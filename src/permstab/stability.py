@@ -33,10 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cochains import (Cochain0, Cochain1, _images, _orbit_agreements,
-                       _permutations, _relabeling, act0on1, alignment_guard_refuses,
-                       coboundary0, cochain_norm, cochain_to_covering,
-                       covering_to_cochain, edge_norm, skeleton_of)
+from .cochains import (DEFAULT_ALIGNMENT_GUARD, Cochain0, Cochain1, _images,
+                       _orbit_agreements, _permutations, _relabeling, act0on1,
+                       alignment_guard_refuses, coboundary0, cochain_norm,
+                       cochain_to_covering, covering_to_cochain, edge_norm, skeleton_of)
 from .complexes import PolygonalComplex, Presentation, fundamental_presentation
 from .errors import GuardExceeded
 from .graphs import DEFAULT_EDIT_GUARD  # noqa: F401  (re-exported)
@@ -45,7 +45,6 @@ from .perm import Permutation, all_permutations
 from .testers import GENERATOR_ID, hom_local_defect
 
 DEFAULT_HOM_GUARD = 10 ** 8
-DEFAULT_ALIGNMENT_GUARD = 10 ** 6
 DEFAULT_ENUM_GUARD = 10 ** 6
 # alignment tensor entries per batch of representatives, unless one alone is larger
 _ALIGN_BLOCK = 1 << 16

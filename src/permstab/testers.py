@@ -29,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cochains import (Cochain1, _covering_images, _fold, _images, _mu2,
-                       _polygon_tables, _require_polygons, _value_table, _word_rows)
+from .cochains import (Cochain1, _images, _moved, _mu2, _polygon_tables, _rate,
+                       _require_polygons, _value_table, covering_to_cochain)
 from .complexes import (PolygonalComplex, Presentation, WeightingSystem,
                         _check_distribution, uniform_distribution)
 from .graphs import Covering
@@ -91,40 +91,15 @@ def _hom_tables(p: Presentation, images: Sequence[Permutation]) -> list[np.ndarr
         return []
     if not images:
         raise ValueError("need at least one generator image to fix the degree")
-    n = images[0].degree
-    rows = _word_rows(p.relators, p.generator_count)
-    return list((_fold(_value_table(_images(images, n)), rows) != np.arange(n))[:, None, :])
+    return list(_moved(_value_table(_images(images, images[0].degree)), p.relators)[:, None, :])
 
 
 def _cocycle_tables(a: Cochain1, every_orientation: bool) -> list[np.ndarray]:
-    x = _require_polygons(a.space)
-    return _polygon_tables(x, _value_table(a.rows), every_orientation)
-
-
-def _cover_tables(c: Covering, x: PolygonalComplex,
-                  every_orientation: bool) -> list[np.ndarray]:
-    """Open polygon lifts, one row per orientation and one column per sheet.
-
-    The lift of a polygon from sheet j closes exactly when the polygon value
-    of the translated cochain ``covering_to_cochain(c, x)`` fixes j, so the
-    open lifts are the moved points of its polygon values; the tables are
-    those of ``_cocycle_tables`` on the covering's edge values.
-    """
-    return _polygon_tables(_require_polygons(x), _value_table(_covering_images(c, x)),
-                           every_orientation)
-
-
-def _rate(mu: Sequence[Fraction], tables: list[np.ndarray]) -> Fraction:
-    """Exact rejection probability: sum of mu_c * (rejecting cells / cells)."""
-    return sum((w * Fraction(int(t.sum()), t.size) for w, t in zip(mu, tables)),
-               Fraction(0))
+    return _polygon_tables(_require_polygons(a.space), a.rows, every_orientation)
 
 
 def _linf_exact(tables: list[np.ndarray]) -> Fraction:
-    rate = Fraction(1)
-    for t in tables:
-        rate *= 1 - Fraction(int(t.sum()), t.size)
-    return 1 - rate
+    return 1 - math.prod(1 - Fraction(int(t.sum()), t.size) for t in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +115,17 @@ def _reject_tables(kind: str, obj, weights, every_orientation: bool
 
     ``weights`` is a WeightingSystem for cocycle/cover kinds and a plain
     distribution over relators/rows for hom/matrix; cover_dm refuses one.
+    A (covering, complex) is read as its ``covering_to_cochain``: a polygon's
+    lift from sheet j closes exactly when that cochain's polygon value fixes j.
     A presentation with no relators has no tables and no distribution.
     """
-    if kind == "cocycle":
-        tables = _cocycle_tables(obj, every_orientation)
-        return _mu2(obj.space, weights), tables
     if kind in ("cover", "cover_dm"):
         c, x = obj
-        tables = _cover_tables(c, x, every_orientation)
-        if kind == "cover":
-            return _mu2(x, weights), tables
+        obj = covering_to_cochain(c, x)
+    if kind in ("cocycle", "cover", "cover_dm"):
+        tables = _cocycle_tables(obj, every_orientation)
+        if kind != "cover_dm":
+            return _mu2(obj.space, weights), tables
         if weights is not None:
             raise ValueError("the discrete-metric cover tester takes no weights")
         # discrete metric: a polygon class rejects when any of its points does

@@ -58,9 +58,9 @@ from permstab.graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
                              vertex_stars)
 from permstab.perm import (Permutation, all_permutations, compose, evaluate_word,
                            hamming_distance_with_errors)
-from permstab.testers import (_CHUNK, _cocycle_tables, _constraint_guide, _cover_tables,
-                              _draw_constraints, _hom_tables, _sampled_rejections,
-                              cover_local_defect, run_sampled)
+from permstab.testers import (_CHUNK, _cocycle_tables, _constraint_guide, _draw_constraints,
+                              _hom_tables, _sampled_rejections, cover_local_defect,
+                              run_sampled)
 
 # a bouquet whose polygons have lengths 2, 3 and 4
 MIXED = presentation_complex(Presentation(2, ((1, 1, 1), (1, 2, -1, -2), (2, 2))))
@@ -232,7 +232,7 @@ def relabeled_coverings(draw):
 @given(relabeled_coverings(), st.booleans())
 def test_cover_tables_match_point_lifts(inst, every_orientation):
     c, x = inst
-    assert _lists(_cover_tables(c, x, every_orientation)) == \
+    assert _lists(_cocycle_tables(covering_to_cochain(c, x), every_orientation)) == \
         ref_cover_tables(c, x, every_orientation)
 
 

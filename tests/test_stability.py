@@ -169,6 +169,54 @@ def test_torus_commuting_pair_classes():
     assert classes == [8, 21, 39]
 
 
+def _roots_of_unity(k: int, n: int) -> int:
+    """Solutions of x^k = 1 in Sym(n): the cycle through the first point has a
+    length d dividing k, chosen in (n-1)!/(n-d)! ways, times a solution on
+    the other n - d points."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(math.perm(m - 1, d - 1) * a[m - d]
+                     for d in range(1, min(k, m) + 1) if k % d == 0))
+    return a[n]
+
+
+@pytest.mark.parametrize("k, expected", [(2, [1, 2, 4, 10, 26, 76]), (3, [1, 1, 3, 9, 21, 81]),
+                                         (4, [1, 2, 4, 16, 56, 256]),
+                                         (6, [1, 2, 6, 18, 66, 396])])
+def test_one_relator_bouquet_homomorphisms_are_roots_of_unity(k, expected):
+    p = Presentation(1, ((1,) * k,))
+    counts = [len(stability._homomorphisms_cached(p, n, stability.DEFAULT_HOM_GUARD))
+              for n in range(1, 7)]
+    assert counts == [_roots_of_unity(k, n) for n in range(1, 7)] == expected
+
+
+def _shapes(n: int, largest: int | None = None):
+    """The partitions of n, as non-increasing tuples of row lengths."""
+    if n == 0:
+        yield ()
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in _shapes(n - first, first):
+            yield (first, *rest)
+
+
+def _dimension(shape: tuple[int, ...]) -> int:
+    """The dimension f of the irreducible representation of shape, by the
+    hook length formula: n! over the product of the hook lengths."""
+    columns = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = math.prod(r - j + columns[j] - i - 1 for i, r in enumerate(shape) for j in range(r))
+    return math.factorial(sum(shape)) // hooks
+
+
+def test_genus_two_homomorphisms_follow_mednykh():
+    # |Hom(pi_1 of the genus-2 surface, Sym(n))| = n! * sum over shapes of (n!/f)^2
+    p = Presentation(4, ((1, 2, -1, -2, 3, 4, -3, -4),))
+    counts = [len(stability._homomorphisms_cached(p, n, stability.DEFAULT_HOM_GUARD))
+              for n in (2, 3, 4)]
+    mednykh = [math.factorial(n) * sum((math.factorial(n) // _dimension(s)) ** 2
+                                       for s in _shapes(n)) for n in (2, 3, 4)]
+    assert counts == mednykh == [16, 486, 34176]
+
+
 def _rank_mod_2(rows: list[int]) -> int:
     rank, rows = 0, [r for r in rows if r]
     while rows:
