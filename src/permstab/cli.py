@@ -270,6 +270,7 @@ def cmd_profile(args) -> int:
     else:
         sys.stdout.write(csv)
     if args.no_heuristic and any(r.exactness == "heuristic" for r in res.rows):
+        print("guard exceeded and --no-heuristic given", file=sys.stderr)
         return 2
     return 0
 
@@ -291,11 +292,11 @@ def _equiv_checks(a: Cochain1, nmax: int | None, root: int,
 
     local = cocycle_local_defect(a).value
     cover = cochain_to_covering(a)
+    # read back through the labeled graph, not the lift table the covering holds
+    read_back = Covering(cover.labeled, cover.degree, cover.fiber_labels)
     checks = [("cover and cocycle local defects equal",
-               cover_local_defect(cover, x).value == local),
-              # read back through the labeled graph, not the table the covering holds
-              ("covering round trip is exact", covering_to_cochain(
-                  Covering(cover.labeled, cover.degree, cover.fiber_labels), x) == a)]
+               cover_local_defect(read_back, x).value == local),
+              ("covering round trip is exact", covering_to_cochain(read_back, x) == a)]
     if x.skeleton.vertex_count == 1:
         checks += [("hom and cocycle local defects equal",
                     hom_local == local),

@@ -26,7 +26,7 @@ from .complexes import PolygonalComplex, WeightingSystem, uniform_distribution
 from .errors import GuardExceeded
 from .graphs import (Covering, Graph, _best_alignment, _forest, _injections, check_path,
                      terminus, tree_paths_to_root)
-from .perm import Permutation, _check_degree, _trusted
+from .perm import Permutation, _assignment_degree, _check_degree, _trusted
 
 
 def skeleton_of(space: PolygonalComplex | Graph) -> Graph:
@@ -335,8 +335,6 @@ def coboundary_distance(a: Cochain1, b: Cochain1,
     small, big = sorted((a.degree, b.degree))
     total = Fraction(0)
     for weight, pc in zip(mu2, x.polygons):
-        if weight == 0:
-            continue
         rows = _word_rows(sorted(pc.orientations), len(a.rows))
         agree = np.count_nonzero(_fold(table_a, rows)[:, :small]
                                  == _fold(table_b, rows)[:, :small])
@@ -384,12 +382,7 @@ def images_to_cochain(images: Sequence[Permutation], x: PolygonalComplex) -> Coc
     """Extend generator images to a 1-cochain on a presentation complex."""
     if x.skeleton.vertex_count != 1:
         raise ValueError("presentation bridge needs a single-vertex complex")
-    if len(images) != len(x.skeleton.edges):
-        raise ValueError("need one image per generator edge")
-    degs = {p.degree for p in images}
-    if len(degs) != 1:
-        raise ValueError("generator images must share one degree")
-    return Cochain1(x, degs.pop(), tuple(images))
+    return Cochain1(x, _assignment_degree(images, len(x.skeleton.edges)), tuple(images))
 
 
 def cochain_to_images(a: Cochain1) -> tuple[Permutation, ...]:
@@ -442,15 +435,15 @@ def alignment_guard_refuses(vertex_count: int, n: int, big: int, guard: int) -> 
 def _orbit_agreements(g: Graph, a: np.ndarray, b: np.ndarray,
                       pinned: bool = False) -> tuple[int, int]:
     """The agreement kernel of orbit_distance on 0-based (edges, n) images a
-    and (edges, big) images b, or a (count, edges, big) stack of them:
-    relabeling b by one injection m_v per vertex, edge x -> y agrees where
+    and a (count, edges, big) stack b of candidate images: relabeling a
+    candidate by one injection m_v per vertex, edge x -> y agrees where
     m_x(a(i)) = b(m_y(i)).  Each edge's table of counts feeds
     ``graphs._best_alignment`` over the P(big, n)^V injection tuples, with
-    a leading candidate axis for a stack; a loop adds its diagonal only.
-    Returns the best total and the first flat index attaining it.
+    a leading candidate axis; a loop adds its diagonal only.  Returns the
+    best total and the first flat index attaining it.
 
     ``pinned`` fixes vertex 1 to the first injection, for the identity
-    candidate b only.  Its agreements are unchanged when one permutation is
+    candidate alone.  Its agreements are unchanged when one permutation is
     applied after every m_v, and that action is transitive on injections, so
     some best tuple has the first injection at vertex 1: the pinned tensor
     has the full one's best total and first flat index, at 1/P of its size.
@@ -462,7 +455,7 @@ def _orbit_agreements(g: Graph, a: np.ndarray, b: np.ndarray,
         return int(np.count_nonzero(a == np.arange(a.shape[1]))), 0
     inj = _injections(a.shape[1], b.shape[-1])
     lhs = inj[:, a].swapaxes(0, 1)   # per edge, m_x(a(i)) for each injection
-    rhs = b[..., inj] if b.ndim == 2 else b[..., inj].swapaxes(0, 1)   # per edge, b(m_y(i))
+    rhs = b[..., inj].swapaxes(0, 1)   # per edge, b(m_y(i)) for each candidate
     sizes = [len(inj)] * g.vertex_count
     if pinned:
         sizes[0] = 1
@@ -473,7 +466,7 @@ def _orbit_agreements(g: Graph, a: np.ndarray, b: np.ndarray,
             if pinned and x == 1:
                 left = left[:1]
             if pinned and y == 1:
-                right = right[..., :1, :]
+                right = right[:, :1]
             yield x - 1, y - 1, ((left == right).sum(axis=-1) if x == y else
                                  (left[:, None, :] == right[..., None, :, :]).sum(axis=-1))
 
@@ -517,7 +510,7 @@ def orbit_distance(alpha: Cochain1, candidate: Cochain1,
         raise GuardExceeded(
             f"orbit search needs {math.perm(big, n)}^{g.vertex_count} alignment tuples "
             f"(guard {guard})")
-    best, flat = _orbit_agreements(g, alpha.rows, candidate.rows)
+    best, flat = _orbit_agreements(g, alpha.rows, candidate.rows[None])
     beta, witness = _relabeling(candidate.space, candidate.rows, n, flat)
     m = len(g.edges)
     return OrbitDistanceResult(Fraction(m * big - best, m * big), beta, witness)

@@ -20,7 +20,7 @@ from .complexes import (PolygonalComplex, Presentation, polygon_orbit,
                         polygon_weights)
 from .graphs import (CombinatorialMap, Covering, Graph, LabeledGraph, _checked_covering,
                      validate_graph, validate_map)
-from .perm import Permutation
+from .perm import Permutation, _assignment_degree
 
 
 def frac_to_str(f: Fraction) -> str:
@@ -170,10 +170,7 @@ def hom_instance_from_dict(d: dict[str, Any]) -> tuple[Presentation, tuple[Permu
     p = presentation_from_dict(d["presentation"])
     images = tuple(Permutation(_int_list(img, "image %d", i))
                    for i, img in enumerate(d["images"], start=1))
-    if len(images) != p.generator_count:
-        raise ValueError("need one image per generator")
-    if len({q.degree for q in images}) > 1:
-        raise ValueError("values must share one degree")
+    _assignment_degree(images, p.generator_count)
     return p, images
 
 

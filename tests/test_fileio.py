@@ -25,9 +25,13 @@ def test_rational_fields_refuse_what_is_not_a_finite_rational(bad):
 
 def test_hom_instance_needs_one_image_per_generator_of_one_degree():
     p = {"generators": 2, "relators": [[1, 2, -1, -2]]}
-    for images in ([[2, 1]], [[2, 1], [1, 3, 2]]):
-        with pytest.raises(ValueError):
-            fileio.hom_instance_from_dict({"presentation": p, "images": images})
+    for presentation, images, message in (
+            (p, [[2, 1]], "need one image per generator"),
+            (p, [[2, 1], [1, 3, 2]], "generator images must share one degree"),
+            ({"generators": 0, "relators": []}, [],
+             "need at least one generator image to fix the degree")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fileio.hom_instance_from_dict({"presentation": presentation, "images": images})
 
 
 def test_graph_round_trip(tmp_path):

@@ -169,6 +169,12 @@ def test_check_covering_rejects_broken_stars():
         check_covering(merged, 2)
 
 
+def test_check_covering_refuses_a_disconnected_target():
+    two_points = Graph(2, ())
+    with pytest.raises(ValueError, match="^covering target must be connected$"):
+        check_covering(CombinatorialMap(two_points, two_points, (1, 2), ()), 1)
+
+
 def test_check_covering_fiber_sizes():
     base = Graph(2, ((1, 2),))
     src = Graph(3, ((1, 3), (2, 3)))

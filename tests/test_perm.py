@@ -91,6 +91,14 @@ def test_evaluate_word_bad_letters():
         evaluate_word([1], [Permutation([2, 1]), Permutation([2, 3, 1])])
 
 
+def test_evaluate_word_names_what_is_wrong_with_the_images():
+    for images, message in (((), "need at least one generator image to fix the degree"),
+                            ((Permutation([2, 1]), Permutation([2, 3, 1])),
+                             "generator images must share one degree")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_word([], images)
+
+
 def test_hamming_distance_examples():
     assert hamming_distance_with_errors(Permutation.identity(3), Permutation.identity(3)) == 0
     # degree-2 transposition against the degree-4 identity: no agreements on [2]

@@ -495,6 +495,16 @@ def test_hom_defect_without_images_names_the_missing_degree():
         global_defect("hom", (Presentation(0, ()), ()))
 
 
+def test_hom_defect_names_what_is_wrong_with_the_images():
+    torus = Presentation(2, ((1, 2, -1, -2),))
+    swap = Permutation([2, 1])
+    for images, message in (((swap,), "need one image per generator"),
+                            ((swap, Permutation([2, 3, 1])),
+                             "generator images must share one degree")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            global_defect("hom", (torus, images))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([(instances.bouquet_a3, 3), (instances.triangle_complex, 3),
                         (instances.torus_complex, 3), (lambda: instances.complete_complex(4), 2)]),

@@ -44,6 +44,17 @@ def test_hom_local_defect_weighted_and_empty():
         assert hom_local_defect(Presentation(1, ()), (SWAP,)).value == 0
 
 
+def test_hom_local_defect_names_what_is_wrong_with_the_images():
+    # a presentation with no generators, relators or images has no degree,
+    # as global_defect("hom") says too
+    for p, images, message in (
+            (Presentation(0, ()), (), "need at least one generator image to fix the degree"),
+            (TORUS_P, (SWAP,), "need one image per generator"),
+            (TORUS_P, (SWAP, Permutation([2, 3, 1])), "generator images must share one degree")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hom_local_defect(p, images)
+
+
 def test_cocycle_defect_examples():
     x = instances.bouquet_a3()
     assert cocycle_local_defect(images_to_cochain([Permutation([2, 3, 1])], x)).value == 0
