@@ -154,10 +154,9 @@ def _assignment_degree(images: Sequence[Permutation], generator_count: int) -> i
         raise ValueError("need one image per generator")
     if not images:
         raise ValueError("need at least one generator image to fix the degree")
-    n = images[0].degree
-    if any(p.degree != n for p in images):
+    if len({p.degree for p in images}) > 1:
         raise ValueError("generator images must share one degree")
-    return n
+    return images[0].degree
 
 
 def evaluate_word(word: Sequence[int], images: Sequence[Permutation]) -> Permutation:

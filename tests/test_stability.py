@@ -609,6 +609,25 @@ def test_array_search_equals_the_plain_references(case):
     assert stability.distance_to_coboundaries(alpha, cap, guard) == (best, witness, exact)
 
 
+def test_coboundary_search_above_the_alignment_guard_builds_no_sym_table(monkeypatch):
+    # the coboundary search has no generator, so a degree the alignment
+    # guard refuses is a plain count at the identity alignment; Sym(12) has
+    # 479,001,600 rows, which must not be built
+    sym = stability._sym
+
+    def small_only(degree):
+        assert degree <= 8, f"Sym({degree}) table built"
+        return sym(degree)
+
+    monkeypatch.setattr(stability, "_sym", small_only)
+    x = instances.torus_complex()
+    swap = Permutation([2, 1] + list(range(3, 13)))
+    alpha = Cochain1(x, 12, (swap, Permutation.identity(12)))
+    best, witness, exact = stability.distance_to_coboundaries(alpha)
+    assert (best, witness, exact) == (Fraction(1, 12), identity_cochain1(x, 12), False)
+    assert stability.distance_to_coboundaries(identity_cochain1(x, 12))[0] == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(presentations(), st.integers(1, 3), st.integers(0, 2), st.data())
 def test_array_hom_search_equals_the_plain_reference(case, n, step, data):

@@ -46,11 +46,14 @@ def test_hom_local_defect_weighted_and_empty():
 
 def test_hom_local_defect_names_what_is_wrong_with_the_images():
     # a presentation with no generators, relators or images has no degree,
-    # as global_defect("hom") says too
+    # as global_defect("hom") says too; images of two degrees are refused
+    # even when no relator would read them
     for p, images, message in (
             (Presentation(0, ()), (), "need at least one generator image to fix the degree"),
             (TORUS_P, (SWAP,), "need one image per generator"),
-            (TORUS_P, (SWAP, Permutation([2, 3, 1])), "generator images must share one degree")):
+            (TORUS_P, (SWAP, Permutation([2, 3, 1])), "generator images must share one degree"),
+            (Presentation(2, ()), (SWAP, Permutation([2, 3, 1])),
+             "generator images must share one degree")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             hom_local_defect(p, images)
 
