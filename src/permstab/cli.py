@@ -104,6 +104,10 @@ _TESTER_FILE = {"hom": "hom_instance", "cocycle": "1-cochain", "cover": "coverin
 def _defect_object(args) -> tuple[str, object, object]:
     """Resolve (kind, tester object, weights) from CLI arguments."""
     kind = args.kind.replace("-", "_")
+    if args.complex is not None and kind not in ("cover", "cover_dm"):
+        command = " ".join(filter(None, (args.command, getattr(args, "scope", None))))
+        raise ValueError(f"{command} --kind {args.kind} takes no --complex; "
+                         "it is read by the cover kinds")
     obj = _load_kind(args.input, _TESTER_FILE[kind])
     x = None
     if kind in ("cover", "cover_dm"):
@@ -186,6 +190,12 @@ def cmd_test(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    unread = [flag for flag, to in (("--complex", "cochain"), ("--root", "presentation"),
+                                    ("--tree", "presentation"))
+              if getattr(args, flag[2:]) is not None and args.to != to]
+    if unread:
+        raise ValueError(f"convert --to {args.to} takes no {', '.join(unread)}; --complex "
+                         "is read by --to cochain, --root and --tree by --to presentation")
     if args.to == "cover":
         a = _load_kind(args.input, "1-cochain")
         cover = cochain_to_covering(a)
@@ -200,7 +210,8 @@ def cmd_convert(args) -> int:
         fileio.save_json(fileio.complex_to_dict(presentation_complex(p)), args.output)
     elif args.to == "presentation":
         x = _load_kind(args.input, "complex")
-        fp = fundamental_presentation(x, args.root, _parse_tree(args.tree))
+        fp = fundamental_presentation(x, 1 if args.root is None else args.root,
+                                      _parse_tree(args.tree))
         d = fileio.presentation_to_dict(fp.presentation)
         d["tree"] = sorted(fp.tree)
         d["root"] = fp.root
@@ -459,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex")
     p.add_argument("--output", required=True)
     _add_common(p, "--root", "--tree")
-    p.set_defaults(func=cmd_convert)
+    p.set_defaults(func=cmd_convert, root=None)
 
     p = sub.add_parser("cheeger", help="expansion constants")
     p.add_argument("--input", required=True)

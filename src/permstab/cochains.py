@@ -7,8 +7,11 @@ stored orientation of each edge and the reversal reads its inverse, so
 antisymmetry cannot be violated.  2-cochains only occur as coboundaries.
 Polygon values are evaluated in one batched fold over a signed value table
 (``_value_table``/``_fold``): one gather per word position for a whole batch
-of words; ``_rate`` is the one reduction of its moved-point tables.  Counts
-are taken in integers and turned into ``Fraction``s last.
+of words.  ``_word_tables`` builds every tester table with it, one boolean row
+of moved points per constraint, and ``_rate`` is their one reduction.  A
+polygon class is one row, its canonical representative's: conjugation and
+inversion keep the moved-point count, so every orientation rejects at the
+same rate.  Counts are taken in integers and turned into ``Fraction``s last.
 """
 
 from __future__ import annotations
@@ -171,8 +174,7 @@ def coboundary1(a: Cochain1, path: Sequence[int]) -> Permutation:
 
 
 def is_cocycle(a: Cochain1) -> bool:
-    x = _require_polygons(a.space)
-    return not any(t.any() for t in _polygon_tables(x, a.rows, False))
+    return not _polygon_tables(a).any()
 
 
 def tree_normalize(alpha: Cochain1, tree: frozenset[int], root: int) -> tuple[Cochain1, Cochain0]:
@@ -223,11 +225,13 @@ def _value_table(images: np.ndarray) -> np.ndarray:
 
 
 def _word_rows(words: Sequence[Sequence[int]], m: int) -> np.ndarray:
-    """Table rows of a batch of signed words over m letters, padded with row 0."""
+    """Table rows of a batch of signed words over m letters, padded with row 0;
+    an empty batch has no rows."""
     lengths = [len(w) for w in words]
-    width = max(1, max(lengths))
-    letters = np.array([tuple(w) + (0,) * (width - len(w)) for w in words], dtype=np.intp)
-    if np.count_nonzero(letters) != sum(lengths) or np.abs(letters).max() > m:
+    width = max([1, *lengths])
+    letters = np.array([tuple(w) + (0,) * (width - len(w)) for w in words],
+                       dtype=np.intp).reshape(len(words), width)
+    if np.count_nonzero(letters) != sum(lengths) or np.abs(letters).max(initial=0) > m:
         raise ValueError(f"word letter outside alphabet 1..{m}")
     return letters % (2 * m + 1)
 
@@ -247,23 +251,20 @@ def _fold(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _moved(table: np.ndarray, words: Sequence[Sequence[int]]) -> np.ndarray:
-    """Moved points of a batch of words over a signed value table, one row per word."""
-    return _fold(table, _word_rows(words, table.shape[0] // 2)) != np.arange(table.shape[1])
+def _word_tables(rows: np.ndarray, words: Sequence[Sequence[int]]) -> np.ndarray:
+    """Tester tables: one boolean row per signed word over the letters of the
+    0-based (m, n) ``rows``, True at each point that the word's value moves."""
+    return _fold(_value_table(rows), _word_rows(words, len(rows))) != np.arange(rows.shape[1])
 
 
-def _polygon_tables(x: PolygonalComplex, rows: np.ndarray,
-                    every_orientation: bool) -> list[np.ndarray]:
-    """Moved points of the polygon values of 0-based edge ``rows``, per class:
-    one row per orientation (canonical, or all sorted), one column per point."""
-    table = _value_table(rows)
-    if not every_orientation:
-        return list(_moved(table, [pc.canonical for pc in x.polygons])[:, None, :])
-    return [_moved(table, sorted(pc.orientations)) for pc in x.polygons]
+def _polygon_tables(a: Cochain1) -> np.ndarray:
+    """The cocycle tester's table: ``_word_tables`` of the canonical word of
+    each polygon class."""
+    return _word_tables(a.rows, [pc.canonical for pc in _require_polygons(a.space).polygons])
 
 
-def _rate(mu: Sequence[Fraction], tables: list[np.ndarray]) -> Fraction:
-    """Exact rejection probability: sum of mu_c * (rejecting cells / cells)."""
+def _rate(mu: Sequence[Fraction], tables: np.ndarray) -> Fraction:
+    """Exact rejection probability: sum of mu_c * (rejecting points / points)."""
     return sum((w * Fraction(int(t.sum()), t.size) for w, t in zip(mu, tables)),
                Fraction(0))
 
@@ -291,12 +292,13 @@ def _mu1(g: Graph, weights: WeightingSystem | None) -> tuple[Fraction, ...]:
 def cochain_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fraction:
     """Norm of delta a: expected distance of the polygon value from identity.
 
-    Evaluated on one representative per class; averaging over orientations
-    would give the same value because fixed-point counts are invariant under
-    conjugation and inversion.  It is the cocycle tester's rejection rate.
+    Evaluated on one row per class, its canonical representative's; every
+    orientation would give the same value because fixed-point counts are
+    invariant under conjugation and inversion.  It is the cocycle tester's
+    rejection rate, read from the table that tester reads.
     """
-    x = _require_polygons(a.space)
-    return _rate(_mu2(x, weights), _polygon_tables(x, a.rows, False))
+    tables = _polygon_tables(a)
+    return _rate(_mu2(a.space, weights), tables)
 
 
 def edge_norm(a: Cochain1, weights: WeightingSystem | None = None) -> Fraction:

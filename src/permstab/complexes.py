@@ -205,13 +205,12 @@ def polygon_weights(x: PolygonalComplex, mu2: Sequence[Fraction] | None = None) 
     if mu2 is None:
         mu2 = uniform_distribution(len(x.polygons))
     mu2 = _check_distribution(mu2, len(x.polygons), "mu2")
-    m = len(x.skeleton.edges)
-    w = [Fraction(0) for _ in range(m)]
+    w = dict.fromkeys(range(1, len(x.skeleton.edges) + 1), Fraction(0))
     for weight, pc in zip(mu2, x.polygons):
-        for e in range(1, m + 1):
-            w[e - 1] += weight * occurrence_count(pc, e)
-    total = sum(w)
+        for s in pc.canonical:
+            w[abs(s)] += weight
+    total = sum(w.values())
     if total == 0:
         raise ValueError("mu2 gives zero expected length")
-    mu1 = tuple(v / total for v in w)
+    mu1 = tuple(v / total for v in w.values())
     return WeightingSystem(mu2, mu1, total)

@@ -321,12 +321,15 @@ def _search(n: int, n_max: int, refused, measure
     """Minimize a distance over the candidates of every degree in [n, n_max].
 
     ``measure(N)`` returns ``(distance, witness, exact)`` for the first
-    closest degree-N candidate, with ``witness`` a thunk that builds it, and
-    raises GuardExceeded exactly when ``refused(N)``; no witness is built.
-    Returns the bound, its witness thunk, whether every degree was searched
-    exactly, and the degrees skipped by the floor of the module
-    docstring (a refused one still clears ``exact``).  A zero distance ends
-    the search, exact.  ``n_max < n`` raises ValueError, not GuardExceeded.
+    closest degree-N candidate, with ``witness`` a thunk that builds it, or
+    raises GuardExceeded when no candidate can be measured; ``exact`` is
+    False for a guard-limited measure (``_orbit_search``'s identity
+    alignment when only the alignment guard refuses).  ``refused(N)`` says
+    whether a guard refuses degree N.  Returns the bound, its witness thunk,
+    whether every degree was searched exactly, and the degrees skipped by
+    the floor of the module docstring (a refused one still clears
+    ``exact``).  A zero distance ends the search, exact.  ``n_max < n``
+    raises ValueError, not GuardExceeded.
     """
     if n_max < n:
         raise ValueError(f"n_max {n_max} is below the input degree {n}")

@@ -1,10 +1,11 @@
 """The randomized testers: exact rejection probabilities and Monte Carlo runs.
 
-Every tester is a table of rejecting (constraint, orientation, point) cells
-plus a distribution over constraints, and ``_reject_tables`` is the one place
-that builds both for each kind.  Exact local defects (``local_defect``) are
-the mu-weighted rejecting share of those tables, computed by full
-enumeration; ``run_sampled`` draws cells from the same tables and exists to
+Every tester is a table, one boolean row of rejecting points per constraint
+(a relator, or a polygon class at its canonical representative), plus a
+distribution over constraints; ``_reject_tables`` builds both for each kind,
+every table with ``cochains._word_tables``.  Exact local defects
+(``local_defect``) are the mu-weighted rejecting share of those tables;
+``run_sampled`` draws (constraint, point) cells from the same tables, to
 model the testers as stated and for profiling.  Sampled runs are driven by
 a counter-based generator (numpy Philox) with per-chunk derived seeds, so a
 run is a pure function of (seed, trials).
@@ -29,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cochains import (Cochain1, _images, _moved, _mu2, _polygon_tables, _rate,
-                       _require_polygons, _value_table, covering_to_cochain)
+from .cochains import (Cochain1, _images, _mu2, _polygon_tables, _rate, _word_tables,
+                       covering_to_cochain)
 from .complexes import (PolygonalComplex, Presentation, WeightingSystem,
                         _check_distribution, uniform_distribution)
 from .graphs import Covering
@@ -70,33 +71,13 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
-def _check_mu(mu: Sequence[Fraction] | None, size: int, what: str) -> tuple[Fraction, ...]:
-    if mu is None:
-        return uniform_distribution(size)
-    vec = _check_distribution(mu, size, what)
-    if any(v == 0 for v in vec):
-        _warn(f"{what} is not fully supported; the tester loses completeness")
-    return vec
-
-
 # ---------------------------------------------------------------------------
-# rejection tables: one boolean array of shape (orientations, points) per
-# constraint, True where the tester rejects
+# rejection tables: one boolean row of points per constraint, True where it rejects
 
 
-def _hom_tables(p: Presentation, images: Sequence[Permutation]) -> list[np.ndarray]:
+def _hom_tables(p: Presentation, images: Sequence[Permutation]) -> np.ndarray:
     n = _assignment_degree(images, p.generator_count)
-    if not p.relators:
-        return []
-    return list(_moved(_value_table(_images(images, n)), p.relators)[:, None, :])
-
-
-def _cocycle_tables(a: Cochain1, every_orientation: bool) -> list[np.ndarray]:
-    return _polygon_tables(_require_polygons(a.space), a.rows, every_orientation)
-
-
-def _linf_exact(tables: list[np.ndarray]) -> Fraction:
-    return 1 - math.prod(1 - Fraction(int(t.sum()), t.size) for t in tables)
+    return _word_tables(_images(images, n), p.relators)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +87,7 @@ def _linf_exact(tables: list[np.ndarray]) -> Fraction:
 _DISTRIBUTION = {"hom": "mu_R", "cocycle": "mu2", "cover": "mu2", "matrix": "mu"}
 
 
-def _reject_tables(kind: str, obj, weights, every_orientation: bool
-                   ) -> tuple[tuple[Fraction, ...], list[np.ndarray]]:
+def _reject_tables(kind: str, obj, weights) -> tuple[tuple[Fraction, ...], np.ndarray]:
     """Constraint distribution and rejection tables of a tester.
 
     ``weights`` is a WeightingSystem for cocycle/cover kinds and a plain
@@ -120,13 +100,13 @@ def _reject_tables(kind: str, obj, weights, every_orientation: bool
         c, x = obj
         obj = covering_to_cochain(c, x)
     if kind in ("cocycle", "cover", "cover_dm"):
-        tables = _cocycle_tables(obj, every_orientation)
+        tables = _polygon_tables(obj)
         if kind != "cover_dm":
             return _mu2(obj.space, weights), tables
         if weights is not None:
             raise ValueError("the discrete-metric cover tester takes no weights")
         # discrete metric: a polygon class rejects when any of its points does
-        return uniform_distribution(len(tables)), [t.any(axis=1, keepdims=True) for t in tables]
+        return uniform_distribution(len(tables)), tables.any(axis=1, keepdims=True)
     if kind == "matrix":   # the hom tester over Sym(2): a row rejects both points or neither
         rows, v = obj
         if any(len(row) != len(v) for row in rows):
@@ -135,20 +115,27 @@ def _reject_tables(kind: str, obj, weights, every_orientation: bool
     elif kind != "hom":
         raise ValueError(f"unknown tester kind {kind!r}")
     tables = _hom_tables(*obj)
-    return (_check_mu(weights, len(tables), _DISTRIBUTION[kind]) if tables else ()), tables
+    if not len(tables):
+        return (), tables
+    return (uniform_distribution(len(tables)) if weights is None else
+            _check_distribution(weights, len(tables), _DISTRIBUTION[kind])), tables
 
 
 def local_defect(kind: str, obj, weights=None) -> DefectReport:
     """Exact rejection probability of a tester, for ``run_sampled``'s kinds,
     objects and weights.
 
-    It reads one orientation per polygon class: moved-point counts are
-    invariant under conjugation and inversion, so every orientation rejects
-    at the same rate.  A presentation with no relators gives 0 and a warning.
+    It reads one row per constraint, the table ``run_sampled`` draws from; a
+    polygon class is read at its canonical representative, since moved-point
+    counts are invariant under conjugation and inversion.  A presentation
+    with no relators gives 0 and a warning, and so does a distribution with
+    a zero entry, since the tester then loses completeness.
     """
-    mu, tables = _reject_tables(kind, obj, weights, every_orientation=False)
-    if not tables:
+    mu, tables = _reject_tables(kind, obj, weights)
+    if not len(tables):
         _warn("presentation has no relators; defect is trivially 0")
+    elif 0 in mu:
+        _warn(f"{_DISTRIBUTION[kind]} is not fully supported; the tester loses completeness")
     return DefectReport(kind, _rate(mu, tables),
                         "uniform" if weights is None else _DISTRIBUTION[kind])
 
@@ -250,24 +237,23 @@ def _draw_constraints(u: np.ndarray, cdf: np.ndarray, start: np.ndarray,
     return cons
 
 
-def _sampled_rejections(mu: Sequence[Fraction], tables: list[np.ndarray], trials: int,
+def _sampled_rejections(mu: Sequence[Fraction], tables: Sequence[np.ndarray], trials: int,
                         seed: int, linf: bool) -> int:
-    """Rejections in ``trials`` seeded draws from the tables; see ``run_sampled``."""
-    orients = np.array([t.shape[0] for t in tables], dtype=np.intp)
-    points = np.array([t.shape[1] for t in tables], dtype=np.intp)
-    flat = np.concatenate([t.reshape(-1) for t in tables])
-    offsets = np.concatenate(([0], np.cumsum(orients * points)[:-1])).astype(np.intp)
+    """Rejections in ``trials`` seeded draws from the table rows; see ``run_sampled``."""
+    points = np.array([len(t) for t in tables], dtype=np.intp)
+    flat = np.concatenate(tables)
+    offsets = np.concatenate(([0], np.cumsum(points)[:-1])).astype(np.intp)
     k = len(tables)
     if linf:
         # per-constraint counts repeated for `rows` trials, a power of two and
         # so a divisor of every full chunk: the index arithmetic then runs on
         # rows of about _CHUNK entries instead of rows of length k
         rows = 1 << max(0, (_CHUNK // k).bit_length() - 1)
-        orients, points, offsets = (np.tile(v, rows) for v in (orients, points, offsets))
+        points, offsets = np.tile(points, rows), np.tile(offsets, rows)
         # one chunk's buffers, allocated once per call: each chunk fills views
         width = min(trials, _CHUNK) * k
         uniforms, rejected = np.empty(2 * width), np.empty(width, dtype=bool)
-        index, term = np.empty(width, dtype=np.intp), np.empty(width, dtype=np.intp)
+        index = np.empty(width, dtype=np.intp)
         hits = np.empty(min(trials, _CHUNK), dtype=bool)
     else:
         weights = np.array([float(w) for w in mu])
@@ -277,17 +263,14 @@ def _sampled_rejections(mu: Sequence[Fraction], tables: list[np.ndarray], trials
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))))
         if linf:
-            # the random((2, size, k)) block, read g trials to a row; a
-            # float-to-int copy truncates, as astype does
+            # the random((2, size, k)) block, read g trials to a row; row 1
+            # picks the points, and a float-to-int copy truncates, as astype does
             g = math.gcd(size, rows)
             m = g * k
             u = rng.random(out=uniforms[:2 * size * k].reshape(2, size // g, m))
-            idx, add = (b[:size * k].reshape(size // g, m) for b in (index, term))
-            np.copyto(idx, np.multiply(u[0], orients[:m], out=u[0]), casting="unsafe")
-            idx *= points[:m]
+            idx = index[:size * k].reshape(size // g, m)
+            np.copyto(idx, np.multiply(u[1], points[:m], out=u[1]), casting="unsafe")
             idx += offsets[:m]
-            np.copyto(add, np.multiply(u[1], points[:m], out=u[1]), casting="unsafe")
-            idx += add
             # "clip" never clips here (every index is in range) and, unlike
             # "raise", writes straight into ``out``
             rej = np.take(flat, index[:size * k], out=rejected[:size * k],
@@ -299,10 +282,8 @@ def _sampled_rejections(mu: Sequence[Fraction], tables: list[np.ndarray], trials
             return int(np.count_nonzero(hit))
         u = rng.random((3, size))
         cons = _draw_constraints(u[0], *guide)
-        pc = points[cons]
-        o = (u[1] * orients[cons]).astype(np.intp)
-        i = (u[2] * pc).astype(np.intp)
-        return int(np.count_nonzero(flat[offsets[cons] + o * pc + i]))
+        i = (u[2] * points[cons]).astype(np.intp)
+        return int(np.count_nonzero(flat[offsets[cons] + i]))
 
     return sum(run_chunk(idx, min(_CHUNK, trials - idx * _CHUNK))
                for idx in range((trials + _CHUNK - 1) // _CHUNK))
@@ -317,12 +298,15 @@ def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
     is a pure function of (seed, trials).  A plain chunk of ``size`` trials
     reads one ``random((3, size))`` block: row 0 picks the constraint, the
     index ``Generator.choice(n, size, p=mu)`` gives from the same uniforms,
-    rows 1 and 2 pick the orientation and the point.  With ``linf`` every
-    constraint is sampled once per trial and a single open check rejects; a
-    chunk reads one ``random((2, size, k))`` block for k constraints
-    (orientations, then points).  ``exact_rate`` is the exact rejection
-    probability read from the same tables the trials sample, 1 - prod(1 -
-    p_c) with ``linf``, which never reads weights and so refuses them.
+    and row 2 the point.  With ``linf`` every constraint is sampled once per
+    trial and a single open check rejects; a chunk reads one
+    ``random((2, size, k))`` block for k constraints, whose row 1 picks the
+    points.  The other row, which once picked an orientation, is drawn and
+    not read, as a constraint has the one row ``local_defect`` reads:
+    drawing it keeps the stream ``GENERATOR_ID`` names and every hom, matrix
+    and cover_dm count.  ``exact_rate`` is the exact rejection probability
+    read from the same tables the trials sample, 1 - prod(1 - p_c) with
+    ``linf``, which never reads weights and so refuses them.
     ``trials`` and ``seed`` must be integers (not bools), at least 1 and 0.
     """
     trials = _integer(trials, "trials")
@@ -335,12 +319,11 @@ def run_sampled(kind: str, obj, trials: int, seed: int, linf: bool = False,
         raise ValueError(f"no L-infinity variant for kind {kind!r}")
     if linf and weights is not None:
         raise ValueError("the L-infinity tester checks every constraint, so it takes no weights")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mu, tables = _reject_tables(kind, obj, weights, every_orientation=True)
-    if not tables:
+    mu, tables = _reject_tables(kind, obj, weights)
+    if not len(tables):
         raise ValueError("presentation has no relators; there is nothing to sample")
-    exact_rate = _linf_exact(tables) if linf else _rate(mu, tables)
+    exact_rate = (1 - math.prod(1 - Fraction(int(t.sum()), t.size) for t in tables)
+                  if linf else _rate(mu, tables))
     rejections = _sampled_rejections(mu, tables, trials, seed, linf)
     return TestOutcome(trials, rejections, Fraction(rejections, trials),
                        seed, GENERATOR_ID, exact_rate)

@@ -773,14 +773,16 @@ KIND_FILES = {
 
 def _commands_and_kinds(path, out, cx):
     """Each command that reads --input, with the file kinds it accepts."""
-    testers = (("hom", "hom_instance"), ("cocycle", "1-cochain"), ("cover", "covering"),
-               ("cover-dm", "covering"), ("matrix", "matrix"))
-    rows = [(["defect", "local", "--kind", kind, "--complex", cx], accepts)
-            for kind, accepts in testers]
-    rows += [(["test", "--kind", kind, "--complex", cx, "--trials", "10"], accepts)
-             for kind, accepts in testers]
-    rows += [(["defect", "global", "--kind", kind, "--complex", cx, "--nmax", "3"], accepts)
-             for kind, accepts in testers[:3]]
+    testers = [(kind, accepts, ["--complex", cx] if kind.startswith("cover") else [])
+               for kind, accepts in (("hom", "hom_instance"), ("cocycle", "1-cochain"),
+                                     ("cover", "covering"), ("cover-dm", "covering"),
+                                     ("matrix", "matrix"))]
+    rows = [(["defect", "local", "--kind", kind, *complex_], accepts)
+            for kind, accepts, complex_ in testers]
+    rows += [(["test", "--kind", kind, *complex_, "--trials", "10"], accepts)
+             for kind, accepts, complex_ in testers]
+    rows += [(["defect", "global", "--kind", kind, *complex_, "--nmax", "3"], accepts)
+             for kind, accepts, complex_ in testers[:3]]
     rows += [(["convert", "--to", "cover", "--output", out], "1-cochain"),
              (["convert", "--to", "cochain", "--output", out], "covering"),
              (["convert", "--to", "complex", "--output", out], "presentation"),
@@ -896,9 +898,10 @@ def test_weights_file_without_the_expected_key_names_it(tmp_path, capsys):
     mu2 = 'error: weights over a complex need a "mu2" list of polygon weights\n'
     mu = 'error: weights over relators or rows need a "mu" list\n'
     for command in (["defect", "local"], ["test"]):
-        for kind, path in (("cocycle", "a.json"), ("cover", "c.json")):
+        for kind, path, complex_ in (("cocycle", "a.json", ()),
+                                     ("cover", "c.json", ("--complex", str(tmp_path / "x.json")))):
             code, out, err = run(capsys, *command, "--kind", kind, "--input",
-                                 str(tmp_path / path), "--complex", str(tmp_path / "x.json"),
+                                 str(tmp_path / path), *complex_,
                                  "--weights", str(tmp_path / "mu.json"))
             assert (code, out, err) == (1, "", mu2), (command, kind)
         code, out, err = run(capsys, *command, "--kind", "matrix", "--input",
@@ -951,6 +954,49 @@ def test_defect_global_hom_refuses_each_spanning_tree_flag(tmp_path, capsys, fla
     assert (code, out) == (1, "")
     assert err == (f"error: defect global --kind hom takes no {flag[0]}; "
                    "those options are read by the cocycle and cover kinds\n")
+
+
+@pytest.mark.parametrize("command", (("defect", "local"), ("defect", "global"), ("test",)),
+                         ids=" ".join)
+@pytest.mark.parametrize("kind", ("hom", "cocycle", "matrix"))
+def test_a_kind_without_a_covering_refuses_complex(tmp_path, capsys, command, kind):
+    # only the cover kinds read --complex: the others name it instead of
+    # ignoring the file, even one that does not exist
+    write_cut_bundle(tmp_path)
+    fileio.save_json({"rows": instances.blr_matrix(2), "vector": [1, 1, 1, 1]},
+                     tmp_path / "matrix.json")
+    name = {"hom": "cut-6-hom.json", "cocycle": "cut-6-cochain.json", "matrix": "matrix.json"}
+    capsys.readouterr()
+    code, out, err = run(capsys, *command, "--kind", kind, "--input", str(tmp_path / name[kind]),
+                         "--complex", str(tmp_path / "missing.json"))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {' '.join(command)} --kind {kind} takes no --complex; "
+                   "it is read by the cover kinds\n")
+
+
+@pytest.mark.parametrize("to, name, flags, unread", [
+    ("cover", "cut-6-cochain.json", ("--complex", "missing.json", "--root", "99", "--tree", "1,2"),
+     "--complex, --root, --tree"),
+    ("cover", "cut-6-cochain.json", ("--root", "1"), "--root"),
+    ("cover", "cut-6-cochain.json", ("--tree", "1,2"), "--tree"),
+    ("presentation", "cut-6-complex.json", ("--complex", "cut-6-complex.json"), "--complex"),
+    ("cochain", "cover.json", ("--complex", "cut-6-complex.json", "--root", "1"), "--root")],
+    ids=("cover-all", "cover-root", "cover-tree", "presentation-complex", "cochain-root"))
+def test_convert_refuses_the_options_its_target_does_not_read(tmp_path, capsys, to, name,
+                                                              flags, unread):
+    # --root and --tree choose the spanning tree of --to presentation and
+    # --complex the complex of --to cochain; any other target names them
+    write_cut_bundle(tmp_path)
+    assert main(["convert", "--to", "cover", "--input", str(tmp_path / "cut-6-cochain.json"),
+                 "--output", str(tmp_path / "cover.json")]) == 0
+    capsys.readouterr()
+    flags = [str(tmp_path / v) if v.endswith(".json") else v for v in flags]
+    code, out, err = run(capsys, "convert", "--to", to, "--input", str(tmp_path / name),
+                         *flags, "--output", str(tmp_path / "out.json"))
+    assert (code, out) == (1, "")
+    assert err == (f"error: convert --to {to} takes no {unread}; --complex is read by "
+                   "--to cochain, --root and --tree by --to presentation\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("tree, root, message", [

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from permstab import instances
@@ -145,6 +146,19 @@ def test_weight_sum_identity_and_validation():
         polygon_weights(x, [Fraction(1)] * 3)
     with pytest.raises(ValueError):
         polygon_weights(PolygonalComplex(x.skeleton, ()))
+
+
+def test_polygon_weights_equal_the_occurrence_count_formula():
+    rng = np.random.default_rng(11)
+    for x in instances.corpus_complexes().values():
+        raw = [int(v) for v in rng.integers(0, 4, len(x.polygons))]
+        raw[0] += 1
+        for mu2 in (None, [Fraction(v, sum(raw)) for v in raw]):
+            ws = polygon_weights(x, mu2)
+            w = [sum((m2 * occurrence_count(pc, e) for m2, pc in zip(ws.mu2, x.polygons)),
+                     Fraction(0)) for e in range(1, len(x.skeleton.edges) + 1)]
+            assert ws.expected_length == sum(w)
+            assert ws.mu1 == tuple(v / sum(w) for v in w)
 
 
 def test_occurrence_counts_orientation_independent():

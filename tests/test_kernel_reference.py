@@ -44,8 +44,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from permstab import fileio, instances, stability
-from permstab.cochains import (Cochain0, Cochain1, _injections, _relabeling, act0on1,
-                               coboundary0, coboundary_distance, cochain_distance,
+from permstab.cochains import (Cochain0, Cochain1, _injections, _polygon_tables, _relabeling,
+                               act0on1, coboundary0, coboundary_distance, cochain_distance,
                                cochain_norm, cochain_to_covering, covering_to_cochain,
                                edge_norm, is_coboundary, orbit_distance, path_value,
                                skeleton_of, tree_normalize)
@@ -58,9 +58,8 @@ from permstab.graphs import (CombinatorialMap, Covering, Graph, LabeledGraph,
                              vertex_stars)
 from permstab.perm import (Permutation, all_permutations, compose, evaluate_word,
                            hamming_distance_with_errors)
-from permstab.testers import (_CHUNK, _cocycle_tables, _constraint_guide, _draw_constraints,
-                              _hom_tables, _sampled_rejections, cover_local_defect,
-                              run_sampled)
+from permstab.testers import (_CHUNK, _constraint_guide, _draw_constraints, _hom_tables,
+                              _sampled_rejections, cover_local_defect, run_sampled)
 
 # a bouquet whose polygons have lengths 2, 3 and 4
 MIXED = presentation_complex(Presentation(2, ((1, 1, 1), (1, 2, -1, -2), (2, 2))))
@@ -175,11 +174,17 @@ def test_coboundary_distance_matches_reference(data):
     assert coboundary_distance(b, a, ws) == ref
 
 
-@given(cochains(), st.booleans())
-def test_cocycle_tables_match_reference(a, every_orientation):
-    tables = _cocycle_tables(a, every_orientation)
-    assert _lists(tables) == ref_cocycle_tables(a, every_orientation)
-    assert all(t.dtype == bool for t in tables)
+def _canonical_rows(ref_tables):
+    """The one row per polygon class of a reference table read at the
+    canonical representatives."""
+    return [row for (row,) in ref_tables]
+
+
+@given(cochains())
+def test_cocycle_tables_match_reference(a):
+    tables = _polygon_tables(a)
+    assert _lists(tables) == _canonical_rows(ref_cocycle_tables(a, False))
+    assert tables.dtype == bool
 
 
 @st.composite
@@ -195,15 +200,14 @@ def hom_instances(draw):
 @given(hom_instances())
 def test_hom_tables_match_reference(inst):
     p, images = inst
-    assert _lists(_hom_tables(p, images)) == [[_moved(evaluate_word(r, images))]
+    assert _lists(_hom_tables(p, images)) == [_moved(evaluate_word(r, images))
                                               for r in p.relators]
 
 
 def test_hom_tables_of_empty_relators_reject_nothing():
     p = Presentation(2, ((), (1, 2, -1, -2), ()))
     images = (Permutation([2, 1, 3]), Permutation([1, 3, 2]))
-    assert _lists(_hom_tables(p, images)) == [[[False] * 3], [[True, True, True]],
-                                              [[False] * 3]]
+    assert _lists(_hom_tables(p, images)) == [[False] * 3, [True, True, True], [False] * 3]
 
 
 @pytest.mark.parametrize("letter", [0, 4, -4])
@@ -215,7 +219,7 @@ def test_polygon_letters_outside_the_alphabet_raise(letter):
     bad = PolygonalComplex(x.skeleton, (PolygonClass(word, word, frozenset([word])),))
     a = Cochain1(bad, 3, (Permutation([2, 3, 1]),) * 3)
     for call in (lambda: cochain_norm(a), lambda: coboundary_distance(a, a),
-                 lambda: _cocycle_tables(a, True), lambda: path_value(a, word)):
+                 lambda: _polygon_tables(a), lambda: path_value(a, word)):
         with pytest.raises(ValueError):
             call()
 
@@ -229,11 +233,11 @@ def relabeled_coverings(draw):
     return Covering(c.labeled, c.degree, fibers), a.space
 
 
-@given(relabeled_coverings(), st.booleans())
-def test_cover_tables_match_point_lifts(inst, every_orientation):
+@given(relabeled_coverings())
+def test_cover_tables_match_point_lifts(inst):
     c, x = inst
-    assert _lists(_cocycle_tables(covering_to_cochain(c, x), every_orientation)) == \
-        ref_cover_tables(c, x, every_orientation)
+    assert _lists(_polygon_tables(covering_to_cochain(c, x))) == \
+        _canonical_rows(ref_cover_tables(c, x, False))
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +730,8 @@ def guide_weights(draw, k=None):
 @st.composite
 def sampled_inputs(draw):
     k = draw(st.integers(1, 60))
-    shapes = st.tuples(st.integers(1, 6), st.integers(1, 7))
-    tables = [draw(arrays(np.bool_, shape)) for shape in draw(
-        st.lists(shapes, min_size=k, max_size=k))]
+    tables = [draw(arrays(np.bool_, length)) for length in draw(
+        st.lists(st.integers(1, 7), min_size=k, max_size=k))]
     trials = draw(st.sampled_from([1, 4095, 4096, 4097]) | st.integers(1, 3 * 4096 + 17))
     return draw(guide_weights(k)), tables, trials, draw(st.integers(0, 2**32))
 
@@ -736,23 +739,24 @@ def sampled_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(sampled_inputs(), st.booleans())
 def test_sampled_rejections_match_choice_loop(inputs, linf):
+    # one row per constraint, which the reference reads as one orientation
     mu, tables, trials, seed = inputs
     assert _sampled_rejections(mu, tables, trials, seed, linf) == \
-        ref_sampled_rejections(mu, tables, trials, seed, linf)
+        ref_sampled_rejections(mu, [t[None] for t in tables], trials, seed, linf)
 
 
 def test_linf_chunks_read_no_index_past_the_tables():
     # the L-infinity loop gathers with mode="clip", which reads the last
     # table entry for an index past the end instead of raising: make that the
-    # only rejecting entry, with seven tables of unequal shapes (7 does not
+    # only rejecting entry, with seven tables of unequal lengths (7 does not
     # divide the chunk) and a short last chunk, so a clipped index shows as
     # extra rejections against the reference's raising flat[index]
-    shapes = [(1, 2), (3, 5), (2, 7), (4, 1), (1, 6), (2, 3), (5, 4)]
-    tables = [np.zeros(shape, dtype=bool) for shape in shapes]
-    tables[-1][-1, -1] = True
+    tables = [np.zeros(length, dtype=bool) for length in (2, 5, 7, 1, 6, 3, 4)]
+    tables[-1][-1] = True
     mu = [Fraction(1, len(tables))] * len(tables)
     for seed in (0, 1, 2):
-        expected = ref_sampled_rejections(mu, tables, 3 * _CHUNK + 123, seed, True)
+        expected = ref_sampled_rejections(mu, [t[None] for t in tables],
+                                          3 * _CHUNK + 123, seed, True)
         assert expected > 0
         assert _sampled_rejections(mu, tables, 3 * _CHUNK + 123, seed, True) == expected
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -104,7 +105,8 @@ def test_cover_defect_weighted():
     c = cochain_to_covering(a)
     # point mass on the violated polygon
     ws = polygon_weights(y, [Fraction(1), Fraction(0)])
-    assert cover_local_defect(c, y, ws).value == Fraction(2, 3)
+    with pytest.warns(UserWarning, match="^mu2 is not fully supported"):
+        assert cover_local_defect(c, y, ws).value == Fraction(2, 3)
 
 
 def test_matrix_tester_examples():
@@ -184,9 +186,8 @@ def _rational_distribution(size, rng):
 
 @pytest.mark.filterwarnings("ignore:mu")
 def test_sampled_exact_rate_equals_exact_defects():
-    # run_sampled reads every orientation of each polygon class while the
-    # exact defects read only the canonical one; equality pins the
-    # orientation invariance that one reduction relies on
+    # run_sampled's exact rate is read from the table it samples, the one
+    # the exact defects read; equality pins that both read one table
     rng = np.random.default_rng(31)
     for x in instances.corpus_complexes().values():
         p = fundamental_presentation(x, 1).presentation
@@ -363,17 +364,55 @@ def test_run_sampled_golden_stream():
     assert GENERATOR_ID == "numpy-philox4x64/seedseq-chunk4096"
 
 
+# a complete-4 cochain whose polygon values move different points in
+# different orientations of every class, so rows read at other orientations
+# than the canonical one would give other counts
+_K4_TURNING = ([1, 3, 4, 2], [2, 1, 4, 3], [2, 1, 4, 3], [1, 2, 3, 4], [4, 2, 1, 3],
+               [4, 2, 3, 1])
+_TURNING_TRIALS = (4097, 3 * 4096 + 17)
+# rejections for each trial count of _TURNING_TRIALS and each seed of
+# _GOLDEN_SEEDS; the cover kind reads the same rows
+_TURNING_GOLDEN = {
+    (False, False): ((2536, 7678), (2532, 7563)),
+    (False, True): ((2548, 7723), (2546, 7609)),
+    (True, False): ((4027, 12105), (4034, 12108)),
+}
+
+
+def test_run_sampled_reads_one_canonical_row_per_polygon_class():
+    from test_kernel_reference import ref_cocycle_tables, ref_cover_tables, ref_sampled_rejections
+
+    k4 = instances.complete_complex(4)
+    a = Cochain1(k4, 4, tuple(Permutation(v) for v in _K4_TURNING))
+    c = cochain_to_covering(a)
+    assert all(len({tuple(row) for row in rows}) > 1 for rows in ref_cocycle_tables(a, True))
+    ws = polygon_weights(k4, _SKEWED)
+    for kind, obj, ref in (("cocycle", a, ref_cocycle_tables(a, False)),
+                           ("cover", (c, k4), ref_cover_tables(c, k4, False))):
+        for (linf, weighted), counts in _TURNING_GOLDEN.items():
+            weights = ws if weighted else None
+            mu = ws.mu2 if weighted else [Fraction(1, 4)] * 4
+            for seed, expected in zip(_GOLDEN_SEEDS, counts):
+                got = tuple(run_sampled(kind, obj, trials, seed, linf=linf,
+                                        weights=weights).rejections
+                            for trials in _TURNING_TRIALS)
+                assert got == expected, (kind, linf, weighted, seed)
+                assert got == tuple(ref_sampled_rejections(mu, [np.array(t) for t in ref],
+                                                           trials, seed, linf)
+                                    for trials in _TURNING_TRIALS)
+
+
 def test_linf_chunks_reuse_one_set_of_buffers():
-    # 40 chunks of 32 constraints: the peak is one chunk's uniforms, index
-    # terms and rejections, the hit row and the tiled shapes, plus a fixed
-    # slack for numpy's casting buffers; a temporary per chunk exceeds it
+    # 40 chunks of 32 constraints: the peak is one chunk's uniforms, indices
+    # and rejections, the hit row and the tiled lengths and offsets, plus a
+    # fixed slack for numpy's casting buffers; a temporary per chunk exceeds it
     k, rows = 32, 4096 // 32
-    tables = [np.random.default_rng(c).random((2, 3)) < 0.3 for c in range(k)]
+    tables = [np.random.default_rng(c).random(3) < 0.3 for c in range(k)]
     mu = [Fraction(1, k)] * k
     _sampled_rejections(mu, tables, 2 * _CHUNK, 1, True)   # warm every code path
     width = _CHUNK * k
     itemsize = np.dtype(np.intp).itemsize
-    buffers = width * (2 * 8 + 2 * itemsize + 1) + _CHUNK + 3 * rows * k * itemsize
+    buffers = width * (2 * 8 + itemsize + 1) + _CHUNK + 2 * rows * k * itemsize
     tracemalloc.start()
     try:
         _sampled_rejections(mu, tables, 40 * _CHUNK, 1, True)
@@ -447,6 +486,29 @@ def test_presentation_without_relators_has_nothing_to_sample():
     for linf in (False, True):
         with pytest.raises(ValueError, match="no relators"):
             run_sampled("hom", (Presentation(1, ()), (SWAP,)), 10, seed=0, linf=linf)
+
+
+def test_a_zero_weight_warns_in_the_exact_testers_only():
+    # every exact tester warns that it loses completeness; a sampled run
+    # reads the same tables and records no warning
+    x = instances.complete_complex(4)
+    a = instances.random_cochain1(x, 3, np.random.default_rng(4))
+    c = cochain_to_covering(a)
+    ws = polygon_weights(x, [Fraction(0)] + [Fraction(1, 3)] * 3)
+    two = Presentation(1, ((1, 1), (1, 1, 1)))
+    rows, v = [[1, 0, 1], [0, 1, 1]], [1, 0, 0]
+    cases = [("cocycle", a, ws, "mu2"), ("cover", (c, x), ws, "mu2"),
+             ("hom", (two, (SWAP,)), [Fraction(1), Fraction(0)], "mu_R"),
+             ("matrix", (rows, v), [Fraction(0), Fraction(1)], "mu")]
+    for kind, obj, weights, name in cases:
+        with pytest.warns(UserWarning, match=f"^{name} is not fully supported; "
+                                             "the tester loses completeness$"):
+            local_defect(kind, obj, weights)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        for kind, obj, weights, _ in cases:
+            run_sampled(kind, obj, 10, seed=0, weights=weights)
+    assert record == []
 
 
 def test_tester_warnings_point_at_the_calling_line():
